@@ -18,7 +18,6 @@ from .m2 import M2Kind, NotQuasipolarError, classify_m2, quasipolar_witness_m2
 from .matrices import parse_matrix, parse_shape
 from .oracle import get_view
 from .rings import QpolarError, TruncatedSeriesRing, parse_ring
-from .series import constant_term_matrix, lift_split, quasipolar_witness_m2_series
 from .sweeps import (
     corner_equivalence_sweep,
     m2_agreement_sweep,
@@ -26,14 +25,7 @@ from .sweeps import (
     t3_case_sweep,
     t3_rad_clean_sweep,
 )
-from .triangular import (
-    classify_case,
-    quasipolar_witness_shape,
-    quasipolar_witness_t2,
-    quasipolar_witness_t3,
-    rad_clean_witness_t3,
-)
-from .matrices import char_poly_2x2
+from .triangular import classify_case, quasipolar_witness_shape, rad_clean_witness_t3
 from .witnesses import WitnessInvalid
 from .worked_examples import all_examples, verify_example
 
@@ -78,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["quasipolar", "rad-clean", "corner"],
         default="quasipolar",
     )
-    o.add_argument("--exhaustive", action="store_true", help="accepted for clarity; sweeps are always exhaustive")
     _add_common(o)
 
     b = sub.add_parser("bleached", help="bleached / uniquely bleached check on a finite ring")
@@ -104,23 +95,21 @@ def _emit(args, payload: dict, lines: list) -> None:
             print(line)
 
 
+def _check_lines(report, indent: str = "") -> list:
+    return [f"{indent}check {name}: {'pass' if ok else 'FAIL'}" for name, ok in report.entries]
+
+
 def _witness_lines(w) -> list:
-    lines = [
+    return [
         f"p: {w.p!r}",
         f"u: {w.u!r}",
         f"q: {w.q!r}",
         f"evidence: {w.comm2_evidence.value}",
-    ]
-    for name, ok in w.checks().entries:
-        lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
-    return lines
+    ] + _check_lines(w.report)
 
 
 def _rad_clean_lines(w) -> list:
-    lines = [f"e: {w.e!r}", f"v: {w.v!r}", f"corner: {w.corner_j!r}"]
-    for name, ok in w.checks().entries:
-        lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
-    return lines
+    return [f"e: {w.e!r}", f"v: {w.v!r}", f"corner: {w.corner_j!r}"] + _check_lines(w.report)
 
 
 def _cmd_decompose(args) -> int:
@@ -132,29 +121,21 @@ def _cmd_decompose(args) -> int:
                      "matrix": a.to_json()}
     lines = [f"ring: {ring!r}", f"shape: {shape.name}", f"matrix: {a!r}"]
 
-    rad = None
     if shape.name == "T3":
         tag = classify_case(a)
         payload["case"] = tag.case
         payload["pattern"] = list(tag.pattern)
         lines.append(f"case: {tag.case} ({','.join(tag.pattern)})")
-        w = quasipolar_witness_t3(a, view=view)
-        rad = rad_clean_witness_t3(a)
-    elif shape.name == "T2":
-        w = quasipolar_witness_t2(a, view=view)
-    elif shape.name == "M2":
-        try:
-            if isinstance(ring, TruncatedSeriesRing):
-                w = quasipolar_witness_m2_series(a)
-            else:
-                w = quasipolar_witness_m2(a, view=view)
-        except NotQuasipolarError as exc:
-            payload.update({"kind": "not-quasipolar", "reason": str(exc), "ok": True})
-            lines.append(f"not quasipolar: {exc}")
-            _emit(args, payload, lines)
-            return 0
-    else:
+    try:
         w = quasipolar_witness_shape(a, view=view)
+    except NotQuasipolarError as exc:
+        payload.update({"kind": "not-quasipolar", "reason": str(exc), "ok": True})
+        lines.append(f"not quasipolar: {exc}")
+        _emit(args, payload, lines)
+        return 0
+    # For T3 the quasipolar idempotent is the case-table E, which is also
+    # the rad-clean idempotent.
+    rad = rad_clean_witness_t3(a, w.p) if shape.name == "T3" else None
 
     payload["witness"] = w.to_dict()
     lines.extend(_witness_lines(w))
@@ -190,21 +171,23 @@ def _cmd_lift(args) -> int:
     a = parse_matrix(ring, parse_shape("M2"), args.matrix)
     payload: dict = {"verb": "lift", "ring": repr(ring), "matrix": a.to_json()}
     lines = [f"ring: {ring!r}", f"matrix: {a!r}"]
-    cls0 = classify_m2(constant_term_matrix(a))
-    payload["constant_kind"] = cls0.kind.value
-    lines.append(f"constant kind: {cls0.kind.value}")
-    if cls0.kind is M2Kind.NOT_QUASIPOLAR:
-        payload.update({"reason": cls0.reason, "ok": True})
-        lines.append(f"not quasipolar: {cls0.reason}")
+    # A series is a unit or radical exactly when its constant term is, so
+    # this is the constant matrix's kind, and a split is lifted once here.
+    cls = classify_m2(a)
+    payload["constant_kind"] = cls.kind.value
+    lines.append(f"constant kind: {cls.kind.value}")
+    if cls.kind is M2Kind.NOT_QUASIPOLAR:
+        payload.update({"reason": cls.reason, "ok": True})
+        lines.append(f"not quasipolar: {cls.reason}")
         _emit(args, payload, lines)
         return 0
-    if cls0.kind is M2Kind.SPLIT:
-        alpha, beta = lift_split(char_poly_2x2(a), ring)
+    if cls.kind is M2Kind.SPLIT:
+        alpha, beta = cls.roots
         payload["alpha"] = repr(alpha)
         payload["beta"] = repr(beta)
         lines.append(f"alpha: {alpha!r}")
         lines.append(f"beta: {beta!r}")
-    w = quasipolar_witness_m2_series(a)
+    w = quasipolar_witness_m2(a, cls=cls)
     payload["witness"] = w.to_dict()
     payload["ok"] = payload["witness"]["ok"]
     lines.extend(_witness_lines(w))
@@ -291,8 +274,7 @@ def _cmd_verify_examples(args) -> int:
             {"name": ex.name, "ring": repr(ex.ring), "report": report.to_dict()}
         )
         lines.append(f"example {ex.name} over {ex.ring!r}:")
-        for name, passed in report.entries:
-            lines.append(f"  check {name}: {'pass' if passed else 'FAIL'}")
+        lines.extend(_check_lines(report, "  "))
         ok = ok and report.passed
     payload["ok"] = ok
     lines.append("ok" if ok else "EXAMPLE CHECKS FAILED")

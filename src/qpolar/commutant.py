@@ -22,19 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rings import LocalRing, QpolarError, RingElement
+from .witnesses import WitnessInvalid
 
 
 class NotBleachedInstance(QpolarError):
     """The commutation equation has no invertible pivot a - b."""
-
-
-@dataclass(frozen=True)
-class CommutantEquation:
-    """The data of a*e - e*b = c."""
-
-    a: RingElement
-    b: RingElement
-    c: RingElement
 
 
 def solve_commutant(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
@@ -49,12 +41,9 @@ def solve_commutant(a: RingElement, b: RingElement, c: RingElement) -> RingEleme
             f"a - b = {pivot!r} is not a unit; cannot solve a*e - e*b = c"
         )
     e = pivot.inverse() * c
-    assert a * e - e * b == c
+    if a * e - e * b != c:
+        raise WitnessInvalid(f"e = {e!r} does not solve a*e - e*b = c")
     return e
-
-
-def solve_equation(eq: CommutantEquation) -> RingElement:
-    return solve_commutant(eq.a, eq.b, eq.c)
 
 
 @dataclass

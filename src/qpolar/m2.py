@@ -42,7 +42,7 @@ from .rings import (
     QpolarError,
     TruncatedSeriesRing,
 )
-from .witnesses import Comm2Evidence, QuasipolarWitness, require_valid
+from .witnesses import Comm2Evidence, QuasipolarWitness, WitnessInvalid, build_quasipolar
 
 
 class NotQuasipolarError(QpolarError):
@@ -97,7 +97,8 @@ def find_root_split(chi: QuadraticCharPoly, ring: LocalRing) -> tuple:
                 continue
             if chi.evaluate(alpha) == 0:
                 beta = chi.tr - alpha
-                assert beta.is_unit()
+                if not beta.is_unit():
+                    raise WitnessInvalid(f"cofactor {beta!r} of radical root {alpha!r} is not a unit")
                 return alpha, beta
         raise NotQuasipolarError(f"{chi} has no radical root in {ring!r}")
     raise UnsupportedShape(f"no root-split strategy for {ring!r}")
@@ -126,7 +127,8 @@ def _zloc_root_split(chi: QuadraticCharPoly, ring: LocalizedIntegers) -> tuple:
             f"{chi} splits over the rationals but has no radical root in {ring!r}"
         )
     beta = chi.tr - alpha
-    assert chi.evaluate(alpha) == 0 and beta.is_unit()
+    if not (chi.evaluate(alpha) == 0 and beta.is_unit()):
+        raise WitnessInvalid(f"{alpha!r}, {beta!r} is not a radical/unit root split of {chi}")
     return alpha, beta
 
 
@@ -155,14 +157,18 @@ def classify_m2(a: ShapedMatrix) -> M2Classification:
     return M2Classification(M2Kind.SPLIT, roots=roots)
 
 
-def quasipolar_witness_m2(a: ShapedMatrix, view=None) -> QuasipolarWitness:
+def quasipolar_witness_m2(
+    a: ShapedMatrix, view=None, cls: M2Classification | None = None
+) -> QuasipolarWitness:
     """Quasipolar decomposition of a full 2x2 matrix.
 
     Raises NotQuasipolarError in the obstructed case.  The idempotent is
     always a polynomial in A, so no commutant search is needed; passing
     a finite oracle view adds an exhaustive double-commutant recheck.
+    A caller that already holds classify_m2(a) passes it as cls.
     """
-    cls = classify_m2(a)
+    if cls is None:
+        cls = classify_m2(a)
     ring = a.ring
     if cls.kind is M2Kind.NOT_QUASIPOLAR:
         raise NotQuasipolarError(cls.reason)
@@ -174,16 +180,6 @@ def quasipolar_witness_m2(a: ShapedMatrix, view=None) -> QuasipolarWitness:
         alpha, beta = cls.roots
         scale = (beta - alpha).inverse()
         p = (ShapedMatrix.identity(ring, M2).scale(beta) - a).scale(scale)
-        assert a * p == p.scale(alpha)
-    if view is not None:
-        if not view.in_double_commutant(view.key_of(p), view.key_of(a)):
-            raise AssertionError(f"polynomial idempotent escapes comm^2 for {a!r}")
-    w = QuasipolarWitness(
-        a=a,
-        p=p,
-        u=a + p,
-        q=a * p,
-        comm2_evidence=Comm2Evidence.POLYNOMIAL_IN_A,
-    )
-    require_valid(w)
-    return w
+        if a * p != p.scale(alpha):
+            raise WitnessInvalid(f"A*p is not alpha*p for {a!r}")
+    return build_quasipolar(a, p, Comm2Evidence.POLYNOMIAL_IN_A, view)

@@ -400,10 +400,6 @@ class ShapeIso:
         )
 
 
-def apply_iso(iso: ShapeIso, a: ShapedMatrix) -> ShapedMatrix:
-    return iso.apply(a)
-
-
 def _moves(pairs):
     return tuple(
         (((si - 1, sj - 1)), ((ti - 1, tj - 1))) for (si, sj), (ti, tj) in pairs

@@ -33,7 +33,7 @@ from .rings import (
     RingElement,
     TruncatedSeriesRing,
 )
-from .witnesses import QuasipolarWitness
+from .witnesses import QuasipolarWitness, WitnessInvalid
 
 
 class BadSeed(QpolarError):
@@ -111,7 +111,8 @@ def lift_root(sq: SeriesQuadratic, b0) -> RingElement:
             acc = acc - b[k] * b[i - k]
         b.append(inv * acc)
     y = ring.element(b)
-    assert sq.holds_for(y)
+    if not sq.holds_for(y):
+        raise WitnessInvalid(f"lifted {y!r} is not a root of the series quadratic")
     return y
 
 
@@ -133,8 +134,10 @@ def lift_split(chi: QuadraticCharPoly, ring: TruncatedSeriesRing) -> tuple:
     sq = SeriesQuadratic.from_char_poly(chi)
     alpha = lift_root(sq, alpha0)
     beta = chi.tr - alpha
-    assert chi.evaluate(beta) == ring.zero
-    assert alpha.in_jacobson() and beta.is_unit()
+    if chi.evaluate(beta) != ring.zero:
+        raise WitnessInvalid(f"cofactor {beta!r} is not a root of {chi}")
+    if not (alpha.in_jacobson() and beta.is_unit()):
+        raise WitnessInvalid(f"lifted roots {alpha!r}, {beta!r} are not a radical/unit split")
     return alpha, beta
 
 
@@ -150,19 +153,22 @@ def constant_term_matrix(a: ShapedMatrix) -> ShapedMatrix:
 def quasipolar_witness_m2_series(a: ShapedMatrix) -> QuasipolarWitness:
     """Quasipolar decomposition over a series ring, gated on the constant term.
 
-    The constant matrix is classified first; if it is not quasipolar the
-    series matrix cannot be either, and ConstantNotQuasipolar is raised
-    with the underlying reason.  Otherwise the generic 2x2 construction
-    runs at full precision (the split case routing through lift_split).
+    A series is a unit or radical exactly when its constant term is, so
+    classify_m2 over the series ring finds the constant matrix's kind;
+    in the split case it splits the constant quadratic and lifts the
+    radical root once (through lift_split).  If the constant matrix is
+    not quasipolar the series matrix cannot be either, and
+    ConstantNotQuasipolar is raised with the underlying reason.
+    Otherwise the witness is built from that one classification.
     """
     if a.shape.name != M2.name:
         raise UnsupportedShape(f"expected shape M2, got {a.shape.name}")
-    cls0 = classify_m2(constant_term_matrix(a))
-    if cls0.kind is M2Kind.NOT_QUASIPOLAR:
+    cls = classify_m2(a)
+    if cls.kind is M2Kind.NOT_QUASIPOLAR:
         raise ConstantNotQuasipolar(
-            f"constant term is not quasipolar: {cls0.reason}"
+            f"constant term is not quasipolar: {cls.reason}"
         )
-    return quasipolar_witness_m2(a)
+    return quasipolar_witness_m2(a, cls=cls)
 
 
 def check_bleached_series(base: LocalRing, precision: int) -> dict:

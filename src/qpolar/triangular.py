@@ -40,12 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .commutant import solve_commutant
+from .m2 import quasipolar_witness_m2
 from .matrices import (
     ISO_LOW3_TO_T3,
     ISO_T3_TO_LOW3,
     ISO_UP3_TO_T3,
     L3,
     LOW3,
+    M2,
     S1,
     S2,
     SPLIT_L3,
@@ -60,11 +62,14 @@ from .matrices import (
     corner_extract_t2,
     corner_projector,
 )
-from .rings import RingElement
+from .rings import RingElement, TruncatedSeriesRing
+from .series import quasipolar_witness_m2_series
 from .witnesses import (
     Comm2Evidence,
     QuasipolarWitness,
     RadCleanWitness,
+    WitnessInvalid,
+    build_quasipolar,
     require_valid,
 )
 
@@ -107,7 +112,8 @@ def spectral_idempotent_t3(a: ShapedMatrix) -> ShapedMatrix:
     """The case-table idempotent E for a T3 matrix.
 
     Postconditions are re-checked on the way out: E*E = E, E*A = A*E,
-    A - E a unit of T3, and A*E in the radical of T3.
+    A - E a unit of T3, and A*E in the radical of T3; a failure raises
+    WitnessInvalid.
     """
     _require_shape(a, T3)
     ring = a.ring
@@ -135,10 +141,14 @@ def spectral_idempotent_t3(a: ShapedMatrix) -> ShapedMatrix:
             (zero, zero, dd[2]),
         ),
     )
-    assert e * e == e
-    assert e * a == a * e
-    assert (a - e).is_unit()
-    assert (a * e).in_jacobson()
+    if e * e != e:
+        raise WitnessInvalid(f"case-table E is not idempotent for {a!r}")
+    if e * a != a * e:
+        raise WitnessInvalid(f"case-table E does not commute with {a!r}")
+    if not (a - e).is_unit():
+        raise WitnessInvalid(f"A - E is not a unit for {a!r}")
+    if not (a * e).in_jacobson():
+        raise WitnessInvalid(f"A*E is not radical for {a!r}")
     return e
 
 
@@ -152,9 +162,14 @@ def quasipolar_witness_t3(a: ShapedMatrix, view=None) -> QuasipolarWitness:
     return _finish_witness(a, p, view)
 
 
-def rad_clean_witness_t3(a: ShapedMatrix) -> RadCleanWitness:
-    """Strongly rad-clean decomposition of a T3 matrix: same E, v = A - E."""
-    e = spectral_idempotent_t3(a)
+def rad_clean_witness_t3(a: ShapedMatrix, e: ShapedMatrix | None = None) -> RadCleanWitness:
+    """Strongly rad-clean decomposition of a T3 matrix: same E, v = A - E.
+
+    Pass the idempotent of A's quasipolar witness as e to reuse it
+    rather than build it again.
+    """
+    if e is None:
+        e = spectral_idempotent_t3(a)
     w = RadCleanWitness(a=a, e=e, v=a - e, corner_j=e * a * e)
     require_valid(w)
     return w
@@ -167,12 +182,13 @@ def quasipolar_witness_t2(a: ShapedMatrix, view=None) -> QuasipolarWitness:
     through the embedding, decomposed there, and the idempotent is cut
     back out of the corner.
     """
+    return _finish_witness(a, _t2_idempotent(a), view)
+
+
+def _t2_idempotent(a: ShapedMatrix) -> ShapedMatrix:
     _require_shape(a, T2)
-    b = corner_embed_t2(a)
-    e3 = spectral_idempotent_t3(b)
     proj = corner_projector(a.ring)
-    p = corner_extract_t2(proj * e3 * proj)
-    return _finish_witness(a, p, view)
+    return corner_extract_t2(proj * spectral_idempotent_t3(corner_embed_t2(a)) * proj)
 
 
 def scalar_quasipolar(x: RingElement):
@@ -183,25 +199,34 @@ def scalar_quasipolar(x: RingElement):
     return ring.one, x + ring.one, x
 
 
+_SPLITS = {L3.name: SPLIT_L3, S1.name: SPLIT_S1, S2.name: SPLIT_S2}
+
+
 def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
     """Quasipolar decomposition for any shape with a constructive engine.
 
-    T3 and T2 go straight to their engines.  L3, S1 and S2 split as
-    T2 x R; LOW3 and UP3 relabel onto T3 (UP3 via the product-reversing
-    map, which transports witnesses all the same because p commutes
-    with A).
+    This is the one dispatch from a matrix's ring and shape to its
+    engine.  T3 and T2 go straight to the case table; M2 goes to the
+    trace/determinant trichotomy, gated on the constant term over a
+    series ring (where a view is not consulted).  L3, S1 and S2 split
+    as T2 x R; LOW3 and UP3 relabel onto T3 (UP3 via the
+    product-reversing map, which transports witnesses all the same
+    because p commutes with A).  Raises NotQuasipolarError for an
+    obstructed M2 matrix.
     """
     name = a.shape.name
     if name == T3.name:
         return quasipolar_witness_t3(a, view=view)
     if name == T2.name:
         return quasipolar_witness_t2(a, view=view)
-    if name in (L3.name, S1.name, S2.name):
-        split = {L3.name: SPLIT_L3, S1.name: SPLIT_S1, S2.name: SPLIT_S2}[name]
+    if name == M2.name:
+        if isinstance(a.ring, TruncatedSeriesRing):
+            return quasipolar_witness_m2_series(a)
+        return quasipolar_witness_m2(a, view=view)
+    if name in _SPLITS:
+        split = _SPLITS[name]
         t2_part, scalar_part = split.apply(a)
-        p2 = quasipolar_witness_t2(t2_part).p
-        ps, _, _ = scalar_quasipolar(scalar_part)
-        p = split.build_source(p2, ps)
+        p = split.build_source(_t2_idempotent(t2_part), scalar_quasipolar(scalar_part)[0])
     elif name == LOW3.name:
         b = ISO_LOW3_TO_T3.apply(a)
         p = ISO_T3_TO_LOW3.apply(spectral_idempotent_t3(b))
@@ -211,17 +236,11 @@ def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
     else:
         raise UnsupportedShape(
             f"no constructive decomposition for shape {name}; "
-            "supported: T2, T3, L3, LOW3, UP3, S1, S2"
+            "supported: T2, T3, L3, LOW3, UP3, S1, S2, M2"
         )
     return _finish_witness(a, p, view)
 
 
 def _finish_witness(a: ShapedMatrix, p: ShapedMatrix, view) -> QuasipolarWitness:
-    evidence = Comm2Evidence.CASE_CONSTRUCTION
-    if view is not None:
-        if not view.in_double_commutant(view.key_of(p), view.key_of(a)):
-            raise AssertionError(f"constructed idempotent escapes comm^2 for {a!r}")
-        evidence = Comm2Evidence.FINITE_EXHAUSTIVE
-    w = QuasipolarWitness(a=a, p=p, u=a + p, q=a * p, comm2_evidence=evidence)
-    require_valid(w)
-    return w
+    evidence = Comm2Evidence.CASE_CONSTRUCTION if view is None else Comm2Evidence.FINITE_EXHAUSTIVE
+    return build_quasipolar(a, p, evidence, view)

@@ -4,15 +4,16 @@ A quasipolar witness for a matrix A is an idempotent p commuting with
 everything that commutes with A, such that A + p is a unit and A*p is
 quasinilpotent.  A rad-clean witness is an idempotent e commuting with A
 such that A - e is a unit and e*A*e lies in the radical of the corner
-ring e*R*e.  Constructions in this package always return witnesses whose
-defining identities have been re-checked; ``checks()`` re-runs those
-identities and reports each one by name so callers (and the CLI) can
-show exactly what was verified.
+ring e*R*e.  A witness runs ``checks()`` once, when it is built, and
+stores the resulting ``CheckReport`` as ``report``: every defining
+identity, each by name, so callers (and the CLI) can show exactly what
+was verified without computing it again.  Constructions in this package
+return only witnesses whose stored report passed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .matrices import ShapedMatrix
@@ -87,6 +88,10 @@ class QuasipolarWitness:
     u: ShapedMatrix
     q: ShapedMatrix
     comm2_evidence: Comm2Evidence
+    report: CheckReport = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "report", self.checks())
 
     def checks(self) -> CheckReport:
         a, p, u, q = self.a, self.p, self.u, self.q
@@ -102,15 +107,14 @@ class QuasipolarWitness:
         )
 
     def to_dict(self) -> dict:
-        report = self.checks()
         return {
             "a": self.a.to_json(),
             "p": self.p.to_json(),
             "u": self.u.to_json(),
             "q": self.q.to_json(),
             "comm2_evidence": self.comm2_evidence.value,
-            "checks": report.to_dict(),
-            "ok": report.passed,
+            "checks": self.report.to_dict(),
+            "ok": self.report.passed,
         }
 
 
@@ -122,6 +126,10 @@ class RadCleanWitness:
     e: ShapedMatrix
     v: ShapedMatrix
     corner_j: ShapedMatrix
+    report: CheckReport = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "report", self.checks())
 
     def checks(self) -> CheckReport:
         a, e, v, cj = self.a, self.e, self.v, self.corner_j
@@ -137,25 +145,37 @@ class RadCleanWitness:
         )
 
     def to_dict(self) -> dict:
-        report = self.checks()
         return {
             "a": self.a.to_json(),
             "e": self.e.to_json(),
             "v": self.v.to_json(),
             "corner_j": self.corner_j.to_json(),
-            "checks": report.to_dict(),
-            "ok": report.passed,
+            "checks": self.report.to_dict(),
+            "ok": self.report.passed,
         }
 
 
 class WitnessInvalid(QpolarError):
-    """A constructed witness failed its own defining identities."""
+    """A construction failed one of the identities it promises."""
 
 
 def require_valid(witness) -> None:
-    """Raise unless every named check passes; constructions call this."""
-    report = witness.checks()
+    """Raise unless every check in the witness's stored report passed."""
+    report = witness.report
     if not report.passed:
         raise WitnessInvalid(
             f"witness checks failed: {', '.join(report.failed_names)} for {witness.a!r}"
         )
+
+
+def build_quasipolar(a: ShapedMatrix, p: ShapedMatrix, evidence: Comm2Evidence, view=None):
+    """The quasipolar witness of A for idempotent p, required valid.
+
+    A finite oracle view adds an exhaustive check that p lies in the
+    double commutant of A.
+    """
+    if view is not None and not view.in_double_commutant(view.key_of(p), view.key_of(a)):
+        raise WitnessInvalid(f"constructed idempotent escapes comm^2 for {a!r}")
+    w = QuasipolarWitness(a=a, p=p, u=a + p, q=a * p, comm2_evidence=evidence)
+    require_valid(w)
+    return w

@@ -20,7 +20,7 @@ from .m2 import find_root_split
 from .matrices import M2, ShapedMatrix, char_poly_2x2
 from .rings import IntegersMod, RingElement, TruncatedSeriesRing
 from .series import lift_split, quasipolar_witness_m2_series, constant_term_matrix
-from .witnesses import CheckReport
+from .witnesses import CheckReport, WitnessInvalid
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ def _alternating_tail(ring: TruncatedSeriesRing) -> RingElement:
     coeffs = [base.zero]
     for n in range(1, ring.precision):
         c = one + three**n
-        assert c == (base.zero if n % 2 else base.element(2))
+        if c != (base.zero if n % 2 else base.element(2)):
+            raise WitnessInvalid(f"tail coefficient 1+3^{n} = {c!r} breaks the 0/2 alternation")
         coeffs.append(c)
     return ring.element(coeffs)
 
@@ -121,7 +122,7 @@ def verify_example(ex: WorkedExample) -> CheckReport:
     entries.append(("alpha_radical", alpha.in_jacobson()))
     entries.append(("beta_unit", beta.is_unit()))
     w = quasipolar_witness_m2_series(ex.matrix)
-    entries.extend(w.checks().entries)
+    entries.extend(w.report.entries)
     if ex.spectral is not None:
         entries.append(("spectral_matches", w.p == ex.spectral))
     return CheckReport(entries)

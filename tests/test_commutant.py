@@ -3,13 +3,11 @@ from fractions import Fraction
 import pytest
 
 from qpolar import (
-    CommutantEquation,
     NotBleachedInstance,
     TruncatedSeriesRing,
     check_bleached,
     check_uniquely_bleached,
     solve_commutant,
-    solve_equation,
 )
 
 
@@ -37,11 +35,6 @@ def test_solve_commutant_rejects_radical_pivot(z4):
         solve_commutant(z4.element(2), z4.element(0), z4.element(1))
     with pytest.raises(NotBleachedInstance):
         solve_commutant(z4.element(3), z4.element(1), z4.element(1))
-
-
-def test_solve_equation_wrapper(z4):
-    eq = CommutantEquation(z4.element(1), z4.element(2), z4.element(3))
-    assert solve_equation(eq) == solve_commutant(eq.a, eq.b, eq.c)
 
 
 def test_uniquely_bleached_on_small_rings(z4, f2, f3, z8):

@@ -15,6 +15,9 @@ from qpolar import (
     UnsupportedShape,
     classify_case,
     get_view,
+    parse_ring,
+    quasipolar_witness_m2,
+    quasipolar_witness_m2_series,
     quasipolar_witness_shape,
     quasipolar_witness_t2,
     quasipolar_witness_t3,
@@ -193,9 +196,29 @@ class TestTransportedShapes:
         assert quasipolar_witness_shape(b).checks().passed
 
     def test_unsupported_shapes_are_refused(self, z4):
-        full2 = ShapedMatrix.from_rows(z4, M2, [[1, 0], [0, 1]])
         full3 = ShapedMatrix.identity(z4, M3)
         with pytest.raises(UnsupportedShape):
-            quasipolar_witness_shape(full2)
-        with pytest.raises(UnsupportedShape):
             quasipolar_witness_shape(full3)
+
+    @pytest.mark.parametrize(
+        "ring,shape,rows,engine",
+        [
+            ("Z2^2", T3, [[1, 0, 0], [1, 2, 1], [0, 0, 3]], quasipolar_witness_t3),
+            ("Zloc2", T3, [[2, 0, 0], [5, 1, 3], [0, 0, 4]], quasipolar_witness_t3),
+            ("Z2^2", T2, [[2, 1], [0, 1]], quasipolar_witness_t2),
+            ("Z2^2", L3, [[1, 0, 0], [0, 2, 0], [3, 0, 2]], None),
+            ("Z2^2", LOW3, [[2, 0, 0], [0, 1, 0], [1, 3, 2]], None),
+            ("Z2^2", UP3, [[1, 0, 2], [0, 2, 1], [0, 0, 3]], None),
+            ("Z2^2", S1, [[2, 0, 1], [0, 3, 0], [0, 0, 2]], None),
+            ("Z2^2", S2, [[1, 0, 0], [0, 2, 0], [0, 3, 1]], None),
+            ("F3", M2, [[1, 1], [0, 0]], quasipolar_witness_m2),
+            ("Zloc2", M2, [[1, 2], [2, 4]], quasipolar_witness_m2),
+            ("series(Z2^2,8)", M2, [[1, 0], [0, 2]], quasipolar_witness_m2_series),
+        ],
+    )
+    def test_dispatch_covers_every_supported_shape(self, ring, shape, rows, engine):
+        a = ShapedMatrix.from_rows(parse_ring(ring), shape, rows)
+        w = quasipolar_witness_shape(a)
+        assert w.a is a and w.report.passed
+        if engine is not None:
+            assert w == engine(a)

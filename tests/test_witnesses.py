@@ -1,0 +1,163 @@
+"""One verification path: stored check reports, typed errors, and cost pins.
+
+The cost pins count calls by wrapping functions for the duration of one
+test.  They are deterministic bounds on how often a request builds or
+checks a result; raise one only with a changelog entry that says why.
+"""
+
+import ast
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qpolar
+from qpolar import (
+    T3,
+    QuasipolarWitness,
+    RadCleanWitness,
+    TruncatedSeriesRing,
+    WitnessInvalid,
+    quasipolar_witness_t3,
+    rad_clean_witness_t3,
+    require_valid,
+)
+from qpolar import cli, m2, series, triangular
+from qpolar.matrices import ShapedMatrix
+
+SRC = Path(qpolar.__file__).resolve().parent
+
+
+def test_no_assert_statements_in_the_package():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _t3(z4):
+    return ShapedMatrix.from_rows(z4, T3, [[1, 0, 0], [1, 2, 1], [0, 0, 3]])
+
+
+class TestStoredReport:
+    def test_report_is_computed_at_construction(self, z4):
+        w = quasipolar_witness_t3(_t3(z4))
+        assert w.report.passed
+        assert w.report.entries == w.checks().entries
+        assert w.to_dict()["checks"] == w.report.to_dict()
+
+    def test_tampered_idempotent_fails_its_stored_report(self, z4):
+        w = quasipolar_witness_t3(_t3(z4))
+        bad = dataclasses.replace(w, p=w.p.scale(z4.element(2)))
+        assert {"p_idempotent", "u_equals_a_plus_p"} <= set(bad.report.failed_names)
+        assert bad.to_dict()["ok"] is False
+        with pytest.raises(WitnessInvalid, match="p_idempotent"):
+            require_valid(bad)
+
+    def test_tampered_unit_fails_its_stored_report(self, z4):
+        w = quasipolar_witness_t3(_t3(z4))
+        bad = dataclasses.replace(w, u=w.u + ShapedMatrix.identity(z4, T3))
+        assert bad.report.failed_names[0] == "u_equals_a_plus_p"
+        with pytest.raises(WitnessInvalid, match="u_equals_a_plus_p"):
+            require_valid(bad)
+
+    def test_tampered_rad_clean_witness_is_refused(self, z4):
+        a = _t3(z4)
+        w = rad_clean_witness_t3(a)
+        bad = RadCleanWitness(a=a, e=w.e, v=a + w.e, corner_j=w.corner_j)
+        assert "v_equals_a_minus_e" in bad.report.failed_names
+        with pytest.raises(WitnessInvalid):
+            require_valid(bad)
+
+    def test_refusal_survives_optimized_mode(self):
+        script = (
+            "import dataclasses, sys\n"
+            "from qpolar import IntegersMod, T3, WitnessInvalid, quasipolar_witness_t3, require_valid\n"
+            "from qpolar.matrices import ShapedMatrix\n"
+            "z4 = IntegersMod(2, 2)\n"
+            "a = ShapedMatrix.from_rows(z4, T3, [[1, 0, 0], [1, 2, 1], [0, 0, 3]])\n"
+            "w = quasipolar_witness_t3(a)\n"
+            "bad = dataclasses.replace(w, p=w.p.scale(z4.element(2)))\n"
+            "if not sys.flags.optimize:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "try:\n"
+            "    require_valid(bad)\n"
+            "except WitnessInvalid:\n"
+            "    print('refused:', ','.join(bad.report.failed_names))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("refused: p_idempotent")
+
+
+def _count(monkeypatch, owner, name, keep=lambda *args: True):
+    """Wrap owner.name for this test; returns a one-item list holding the count."""
+    calls = [0]
+    orig = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        if keep(*args):
+            calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def _count_checks(monkeypatch):
+    return (
+        _count(monkeypatch, QuasipolarWitness, "checks"),
+        _count(monkeypatch, RadCleanWitness, "checks"),
+    )
+
+
+def _run(capsys, argv):
+    code = cli.main(argv)
+    capsys.readouterr()
+    assert code == 0
+
+
+class TestCostPins:
+    def test_t3_decompose_builds_one_idempotent_and_checks_two_witnesses(self, monkeypatch, capsys):
+        idempotents = _count(monkeypatch, triangular, "spectral_idempotent_t3")
+        qp_checks, rc_checks = _count_checks(monkeypatch)
+        _run(capsys, ["decompose", "--ring", "Z2^2", "--shape", "T3",
+                      "--matrix", "[1,0,0; 1,2,1; 0,0,3]", "--format", "json"])
+        assert (idempotents[0], qp_checks[0], rc_checks[0]) == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "ring,shape,matrix",
+        [
+            ("Z2^2", "T2", "[2,1; 0,1]"),
+            ("Z2^2", "L3", "[1,0,0; 0,2,0; 3,0,2]"),
+            ("Z2^2", "LOW3", "[2,0,0; 0,1,0; 1,3,2]"),
+            ("Z2^2", "UP3", "[1,0,2; 0,2,1; 0,0,3]"),
+            ("Z2^2", "S1", "[2,0,1; 0,3,0; 0,0,2]"),
+            ("Z2^2", "S2", "[1,0,0; 0,2,0; 0,3,1]"),
+            ("F3", "M2", "[1,1; 0,0]"),
+            ("Zloc2", "M2", "[1,2; 2,4]"),
+            ("series(Z2^2,8)", "M2", "[1,0; 0,2]"),
+        ],
+    )
+    def test_other_decomposes_check_one_witness(self, monkeypatch, capsys, ring, shape, matrix):
+        qp_checks, rc_checks = _count_checks(monkeypatch)
+        _run(capsys, ["decompose", "--ring", ring, "--shape", shape, "--matrix", matrix])
+        assert (qp_checks[0], rc_checks[0]) == (1, 0)
+
+    @pytest.mark.parametrize("verb", [["lift"], ["decompose", "--shape", "M2"]])
+    def test_series_split_lifts_once(self, monkeypatch, capsys, verb):
+        lifts = _count(monkeypatch, series, "lift_root")
+        base_splits = _count(
+            monkeypatch, m2, "find_root_split",
+            keep=lambda chi, ring: not isinstance(ring, TruncatedSeriesRing),
+        )
+        qp_checks, _ = _count_checks(monkeypatch)
+        _run(capsys, [*verb, "--ring", "series(Z2^2,8)", "--matrix", "[1,0; 0,2]"])
+        assert (lifts[0], base_splits[0], qp_checks[0]) == (1, 1, 1)

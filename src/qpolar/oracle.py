@@ -10,7 +10,13 @@ independence is what makes it usable as ground truth for them.
 A :class:`FiniteRingView` is built once per (ring, shape) pair; it
 tabulates scalar arithmetic and represents each matrix as a tuple of
 scalar indices over the shape's mask, which keeps the big sweeps inside
-plain tuple and list operations.  Carriers are capped at 10^6 elements.
+plain tuple and list operations.  Its key arithmetic is generated per
+view: one straight-line function each for product, sum and difference,
+written from the shape's product terms as nested lookups in the scalar
+tables.  Every key product still goes through the class-level
+``FiniteRingView._mul``, so wrapping that one method counts them all.
+Carriers and the ns x ns scalar tables are capped at 10^6 entries, and
+the cap is checked before anything is enumerated or tabulated.
 """
 
 from __future__ import annotations
@@ -25,6 +31,16 @@ CARRIER_CAP = 10**6
 
 class NotIdempotent(QpolarError):
     """corner_validate was handed an e with e*e != e."""
+
+
+def _straight_line(npos: int, slots: list, tables: dict):
+    """Compile ``f(a, b)`` returning the tuple of ``slots``, expressions in
+    the tables and the scalar indices ``a0, b0, a1, b1, ...`` of the keys."""
+    a = "".join(f"a{i}, " for i in range(npos))
+    b = "".join(f"b{i}, " for i in range(npos))
+    namespace = dict(tables)
+    exec(f"def f(a, b):\n {a}= a\n {b}= b\n return ({', '.join(slots)},)", namespace)
+    return namespace["f"]
 
 
 class _Corner:
@@ -77,8 +93,14 @@ class FiniteRingView:
             raise InfiniteRing(f"cannot enumerate a view over {ring}")
         self.ring = ring
         self.shape = shape
+        self.positions = [(0, 0)] if shape is None else shape.positions
+        ns, npos = ring.cardinality(), len(self.positions)
+        if max(ns**npos, ns * ns) > CARRIER_CAP:
+            raise InfiniteRing(
+                f"carrier of {ring} / {shape.name if shape else 'scalars'} "
+                f"(or its scalar tables) exceeds {CARRIER_CAP} elements"
+            )
         self.scalars = list(ring.elements())
-        ns = len(self.scalars)
         sidx = {s: i for i, s in enumerate(self.scalars)}
         self._sidx = sidx
         self._add_s = [[sidx[a + b] for b in self.scalars] for a in self.scalars]
@@ -88,27 +110,30 @@ class FiniteRingView:
         self._one_s = sidx[ring.one]
 
         if shape is None:
-            self.positions = [(0, 0)]
             self._prod_terms = [[(0, 0)]]
-            npos = 1
             diag = [0]
         else:
-            self.positions = shape.positions
             pos_index = {p: i for i, p in enumerate(self.positions)}
             terms = shape.product_terms()
             self._prod_terms = [
                 [(pos_index[(i, k)], pos_index[(k, j)]) for k in terms[(i, j)]]
                 for (i, j) in self.positions
             ]
-            npos = len(self.positions)
             diag = [pos_index[(i, i)] for i in range(shape.n)]
-        self._diag_slots = diag
 
-        if ns**npos > CARRIER_CAP:
-            raise InfiniteRing(
-                f"carrier of {ring} / {shape.name if shape else 'scalars'} "
-                f"exceeds {CARRIER_CAP} elements"
-            )
+        # A sum starts at its first term; adding it to zero changes nothing.
+        prods = []
+        for (ia, ib), *rest in self._prod_terms:
+            expr = f"M[a{ia}][b{ib}]"
+            for ia, ib in rest:
+                expr = f"A[{expr}][M[a{ia}][b{ib}]]"
+            prods.append(expr)
+        tables = {"A": self._add_s, "M": self._mul_s, "N": self._neg_s}
+        slots = range(npos)
+        self._mul_k = _straight_line(npos, prods, tables)
+        self._add_k = _straight_line(npos, [f"A[a{i}][b{i}]" for i in slots], tables)
+        self._sub_k = _straight_line(npos, [f"A[a{i}][N[b{i}]]" for i in slots], tables)
+
         self.keys = [tuple(k) for k in product(range(ns), repeat=npos)]
         self.key_index = {k: i for i, k in enumerate(self.keys)}
         z, o = self._zero_s, self._one_s
@@ -124,31 +149,22 @@ class FiniteRingView:
         self._corners: dict = {}
 
     # -- key arithmetic ----------------------------------------------------
+    # Class-level, so that wrapping FiniteRingView._mul sees every product.
 
     def _mul(self, a, b):
-        at, mt = self._add_s, self._mul_s
-        z = self._zero_s
-        out = []
-        for terms in self._prod_terms:
-            acc = z
-            for ia, ib in terms:
-                acc = at[acc][mt[a[ia]][b[ib]]]
-            out.append(acc)
-        return tuple(out)
+        return self._mul_k(a, b)
 
     def _add(self, a, b):
-        at = self._add_s
-        return tuple(at[x][y] for x, y in zip(a, b))
+        return self._add_k(a, b)
 
     def _sub(self, a, b):
-        at, nt = self._add_s, self._neg_s
-        return tuple(at[x][nt[y]] for x, y in zip(a, b))
+        return self._sub_k(a, b)
 
     # -- conversions ---------------------------------------------------------
 
     def key_of(self, value):
         if isinstance(value, ShapedMatrix):
-            if self.shape is None or value.shape.name != self.shape.name:
+            if self.shape is None or value.shape != self.shape:
                 raise QpolarError(f"{value!r} does not live in this view")
             sidx = self._sidx
             return tuple(sidx[value.rows[i][j]] for (i, j) in self.positions)
@@ -334,7 +350,7 @@ _VIEW_CACHE: dict = {}
 
 def get_view(ring: LocalRing, shape: Shape | None = None) -> FiniteRingView:
     """Shared, memoized view per (ring, shape); views are expensive to build."""
-    key = (ring, shape.name if shape is not None else None)
+    key = (ring, shape)
     got = _VIEW_CACHE.get(key)
     if got is None:
         got = _VIEW_CACHE[key] = FiniteRingView(ring, shape)

@@ -208,10 +208,9 @@ def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
     This is the one dispatch from a matrix's ring and shape to its
     engine.  T3 and T2 go straight to the case table; M2 goes to the
     trace/determinant trichotomy, gated on the constant term over a
-    series ring (where a view is not consulted).  L3, S1 and S2 split
-    as T2 x R; LOW3 and UP3 relabel onto T3 (UP3 via the
-    product-reversing map, which transports witnesses all the same
-    because p commutes with A).  Raises NotQuasipolarError for an
+    series ring.  L3, S1 and S2 split as T2 x R; LOW3 and UP3 relabel
+    onto T3 (UP3 via the product-reversing map, which transports
+    witnesses all the same because p commutes with A).  Raises NotQuasipolarError for an
     obstructed M2 matrix.
     """
     name = a.shape.name
@@ -221,7 +220,7 @@ def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
         return quasipolar_witness_t2(a, view=view)
     if name == M2.name:
         if isinstance(a.ring, TruncatedSeriesRing):
-            return quasipolar_witness_m2_series(a)
+            return quasipolar_witness_m2_series(a, view=view)
         return quasipolar_witness_m2(a, view=view)
     if name in _SPLITS:
         split = _SPLITS[name]

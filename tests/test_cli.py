@@ -1,10 +1,11 @@
 """Command line surface: output stability, JSON fidelity, exit codes."""
 
 import json
+import time
 
 import pytest
 
-from qpolar import Comm2Evidence, QuasipolarWitness, matrix_from_json
+from qpolar import Comm2Evidence, QuasipolarWitness, TruncatedSeriesRing, matrix_from_json
 from qpolar.cli import main
 
 T3_ARGS = [
@@ -128,6 +129,19 @@ class TestExitCodes:
             ],
         )
         assert code == 2
+
+    def test_oracle_over_a_huge_series_ring_is_refused_fast(self, capsys, monkeypatch):
+        # The carrier cap is checked before any scalar is enumerated.
+        def enumerate_nothing(ring):
+            raise RuntimeError(f"enumerated {ring} before checking the cap")
+
+        monkeypatch.setattr(TruncatedSeriesRing, "elements", enumerate_nothing)
+        start = time.perf_counter()
+        code = main(["decompose", "--ring", "series(Z2^2,8)", "--shape", "M2",
+                     "--matrix", "[1,0; 0,0]", "--oracle"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "exceeds" in capsys.readouterr().err
 
     def test_lift_requires_a_series_ring(self, capsys):
         code, _ = run(

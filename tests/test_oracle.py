@@ -5,17 +5,27 @@ these tests pin small hand-checkable cases and cross-check the tabled
 key arithmetic against direct matrix arithmetic.
 """
 
+import random
+
 import pytest
 
 from qpolar import (
     InfiniteRing,
     IntegersMod,
+    L3,
+    LOW3,
     LocalizedIntegers,
     M2,
     M3,
     NotIdempotent,
+    PrimeField,
     QpolarError,
+    S1,
+    S2,
+    T2,
     T3,
+    TruncatedSeriesRing,
+    UP3,
     classify_m2,
     commutant,
     corner_validate,
@@ -24,9 +34,13 @@ from qpolar import (
     is_quasinilpotent,
     quasipolar_search,
     rad_clean_search,
+    t3_case_sweep,
 )
-from qpolar.matrices import ShapedMatrix
+from qpolar import oracle
+from qpolar.matrices import Shape, ShapedMatrix
 from qpolar.oracle import FiniteRingView
+
+KERNEL_SHAPES = (T2, T3, L3, LOW3, UP3, S1, S2, M2)
 
 
 def m2_of(ring, a, b, c, d):
@@ -227,6 +241,24 @@ class TestViewPlumbing:
         with pytest.raises(InfiniteRing):
             FiniteRingView(IntegersMod(2, 3), M3)
 
+    def test_oversized_scalar_tables_are_refused_before_enumeration(self, monkeypatch):
+        # 65,536 scalars fit the cap as keys, but not as 65,536^2 table entries.
+        def enumerate_nothing(ring):
+            raise RuntimeError(f"enumerated {ring} before checking the cap")
+
+        monkeypatch.setattr(TruncatedSeriesRing, "elements", enumerate_nothing)
+        with pytest.raises(InfiniteRing, match="exceeds"):
+            FiniteRingView(TruncatedSeriesRing(IntegersMod(2, 2), 8))
+
+    def test_shapes_are_compared_by_value(self, z4, monkeypatch):
+        monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
+        assert get_view(z4, Shape("T3", 3, T3.mask)) is get_view(z4, T3)
+        # Same name, other mask: another carrier, so another view.
+        impostor = Shape("T3", 3, UP3.mask)
+        assert get_view(z4, impostor) is not get_view(z4, T3)
+        with pytest.raises(QpolarError):
+            get_view(z4, T3).key_of(ShapedMatrix.identity(z4, impostor))
+
     def test_unit_scan_is_two_sided(self, z4):
         view = get_view(z4, T3)
         mul = view._mul
@@ -236,3 +268,67 @@ class TestViewPlumbing:
             assert mul(k, inv) == one
             assert mul(inv, k) == one
         assert view.inverse_key(view.zero_key) is None
+
+
+# The interpreted key arithmetic the generated kernels replaced, kept as
+# the reference they must agree with.
+
+
+def loop_mul(view, a, b):
+    at, mt = view._add_s, view._mul_s
+    out = []
+    for terms in view._prod_terms:
+        acc = view._zero_s
+        for ia, ib in terms:
+            acc = at[acc][mt[a[ia]][b[ib]]]
+        out.append(acc)
+    return tuple(out)
+
+
+def loop_add(view, a, b):
+    return tuple(view._add_s[x][y] for x, y in zip(a, b))
+
+
+def loop_sub(view, a, b):
+    return tuple(view._add_s[x][view._neg_s[y]] for x, y in zip(a, b))
+
+
+class TestGeneratedKernels:
+    @pytest.mark.parametrize(
+        "shape", KERNEL_SHAPES + (None,), ids=lambda s: s.name if s else "scalar"
+    )
+    def test_equal_to_the_loop_on_every_key_pair(self, f2, z8, shape):
+        # Every matrix shape over F2; the scalar view over Z/8.
+        view = FiniteRingView(f2, shape) if shape is not None else FiniteRingView(z8)
+        for a in view.keys:
+            for b in view.keys:
+                assert view._mul(a, b) == loop_mul(view, a, b)
+                assert view._add(a, b) == loop_add(view, a, b)
+                assert view._sub(a, b) == loop_sub(view, a, b)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: s.name)
+    def test_agree_with_matrix_arithmetic(self, z4, shape):
+        view = get_view(z4, shape)
+        rng = random.Random(20131)
+        val = view.value_of
+        for _ in range(200):
+            a, b = rng.choice(view.keys), rng.choice(view.keys)
+            assert val(view._mul(a, b)) == val(a) * val(b)
+            assert val(view._add(a, b)) == val(a) + val(b)
+            assert val(view._sub(a, b)) == val(a) - val(b)
+
+    def test_t3_case_sweep_over_f3_costs_137700_key_products(self, monkeypatch):
+        # A cost bound: the kernel makes each product cheaper, never fewer,
+        # and every product stays visible on the class-level method.
+        monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
+        calls = []
+        mul = FiniteRingView._mul
+
+        def counted(self, a, b):
+            calls.append(None)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(FiniteRingView, "_mul", counted)
+        report = t3_case_sweep(PrimeField(3))
+        assert not report.failures
+        assert len(calls) == 137_700

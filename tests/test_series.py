@@ -6,6 +6,7 @@ import pytest
 
 from qpolar import (
     BadSeed,
+    Comm2Evidence,
     ConstantNotQuasipolar,
     InfiniteRing,
     IntegersMod,
@@ -17,6 +18,7 @@ from qpolar import (
     SeriesQuadratic,
     TruncatedSeriesRing,
     UnsupportedShape,
+    WitnessInvalid,
     char_poly_2x2,
     check_bleached_series,
     constant_term_matrix,
@@ -24,8 +26,10 @@ from qpolar import (
     lift_root,
     lift_split,
     quasipolar_witness_m2_series,
+    quasipolar_witness_shape,
 )
 from qpolar.matrices import ShapedMatrix
+from qpolar.oracle import FiniteRingView
 
 
 class TestLiftRoot:
@@ -165,6 +169,16 @@ class TestConstantGate:
         )
         w = quasipolar_witness_m2_series(a)
         assert w.checks().passed
+
+    def test_oracle_view_is_consulted(self, monkeypatch):
+        ring = TruncatedSeriesRing(PrimeField(2), 2)
+        a = ShapedMatrix.from_rows(ring, M2, [[1, 0], [0, 0]])
+        view = FiniteRingView(ring, M2)
+        w = quasipolar_witness_shape(a, view=view)
+        assert w.comm2_evidence is Comm2Evidence.POLYNOMIAL_IN_A
+        monkeypatch.setattr(view, "in_double_commutant", lambda p, a: False)
+        with pytest.raises(WitnessInvalid, match="comm"):
+            quasipolar_witness_shape(a, view=view)
 
     def test_rejects_other_shapes(self):
         ring = TruncatedSeriesRing(IntegersMod(2, 2), 2)

@@ -143,7 +143,7 @@ def _fraction_sqrt(q: Fraction):
 
 def classify_m2(a: ShapedMatrix) -> M2Classification:
     """Trichotomy of a full 2x2 matrix by trace and determinant."""
-    if a.shape.name != M2.name:
+    if a.shape != M2:
         raise UnsupportedShape(f"expected shape M2, got {a.shape.name}")
     chi = char_poly_2x2(a)
     if chi.det.is_unit():

@@ -135,7 +135,6 @@ class FiniteRingView:
         self._sub_k = _straight_line(npos, [f"A[a{i}][N[b{i}]]" for i in slots], tables)
 
         self.keys = [tuple(k) for k in product(range(ns), repeat=npos)]
-        self.key_index = {k: i for i, k in enumerate(self.keys)}
         z, o = self._zero_s, self._one_s
         self.zero_key = tuple(z for _ in range(npos))
         self.one_key = tuple(o if i in diag else z for i in range(npos))

@@ -16,6 +16,17 @@ the tests exercise that dichotomy exhaustively on the finite kinds.
 Elements are immutable wrappers around a canonical payload: an integer
 residue in [0, p^k), a reduced ``fractions.Fraction``, or a tuple of m
 base-ring coefficients.  All arithmetic is exact; nothing here floats.
+Each ring builds its ``zero`` and ``one`` once, when it is constructed.
+
+Series arithmetic adds and multiplies raw coefficients: the base ring's
+``raw(a)`` gives the value to compute with and ``cook(x)`` turns a sum
+or product of such values back into a canonical element.  ``F<p>`` and
+``Z<p>^<k>`` compute with ``int`` residues and cook reduces modulo p^k;
+``Zloc<p>`` computes with ``Fraction``s and cook keeps the payload one
+(p-local fractions are closed under + and *); for a series base both
+hooks are the identity, so a series over a series convolves whole
+elements through the same code.  Series payloads stay tuples of
+base-ring elements.
 """
 
 from __future__ import annotations
@@ -145,7 +156,7 @@ class RingElement:
         return hash((self.ring, self.payload))
 
     def __bool__(self):
-        return self != self.ring.zero
+        return self.payload != self.ring.zero.payload
 
     def is_unit(self) -> bool:
         return self.ring.is_unit(self)
@@ -201,13 +212,25 @@ class LocalRing:
     def format_element(self, a: RingElement) -> str:
         raise NotImplementedError
 
+    def raw(self, a: RingElement):
+        """The value series arithmetic computes with in place of a."""
+        return a.payload
+
+    def cook(self, x) -> RingElement:
+        """The canonical element for a raw sum or product x."""
+        return RingElement(self, x)
+
+    def _build_constants(self) -> None:
+        self._zero, self._one = self.element(0), self.element(1)
+
+    # Plain properties over values built once: a tracer may wrap them.
     @property
     def zero(self) -> RingElement:
-        return self.element(0)
+        return self._zero
 
     @property
     def one(self) -> RingElement:
-        return self.element(1)
+        return self._one
 
 
 class _ModularRing(LocalRing):
@@ -221,6 +244,7 @@ class _ModularRing(LocalRing):
         self.p = p
         self.k = k
         self.modulus = p**k
+        self._build_constants()
 
     def element(self, value) -> RingElement:
         if isinstance(value, RingElement):
@@ -245,6 +269,9 @@ class _ModularRing(LocalRing):
 
     def neg(self, a):
         return RingElement(self, (-a.payload) % self.modulus)
+
+    def cook(self, x):
+        return RingElement(self, x % self.modulus)
 
     def is_unit(self, a):
         return a.payload % self.p != 0
@@ -309,6 +336,7 @@ class LocalizedIntegers(LocalRing):
         if not _is_prime(p):
             raise InvalidElement(f"{p} is not prime")
         self.p = p
+        self._build_constants()
 
     def element(self, value) -> RingElement:
         if isinstance(value, RingElement):
@@ -342,6 +370,9 @@ class LocalizedIntegers(LocalRing):
 
     def neg(self, a):
         return RingElement(self, -a.payload)
+
+    def cook(self, x):
+        return RingElement(self, x if type(x) is Fraction else Fraction(x))
 
     def is_unit(self, a):
         return a.payload.numerator % self.p != 0
@@ -387,6 +418,7 @@ class TruncatedSeriesRing(LocalRing):
             raise InvalidElement(f"precision must be positive, got {precision}")
         self.base = base
         self.precision = precision
+        self._build_constants()
 
     def element(self, value) -> RingElement:
         if isinstance(value, RingElement):
@@ -444,23 +476,37 @@ class TruncatedSeriesRing(LocalRing):
                 coeffs[power] = coeffs[power] + c
         return RingElement(self, tuple(coeffs))
 
+    # A series over a series gets whole elements from raw/cook, which
+    # return their argument; every other base gets its payloads.
+    def raw(self, a):
+        return a
+
+    def cook(self, x):
+        return x
+
     def add(self, a, b):
-        return RingElement(self, tuple(x + y for x, y in zip(a.payload, b.payload)))
+        raw, cook = self.base.raw, self.base.cook
+        return RingElement(
+            self, tuple([cook(raw(x) + raw(y)) for x, y in zip(a.payload, b.payload)])
+        )
 
     def mul(self, a, b):
-        m = self.precision
-        out = [self.base.zero] * m
-        for i, ai in enumerate(a.payload):
-            if not ai:
+        base, m = self.base, self.precision
+        raw = base.raw
+        out = [raw(base.zero)] * m
+        ys = [(j, y) for j, y in enumerate(map(raw, b.payload)) if y]
+        for i, x in enumerate(map(raw, a.payload)):
+            if not x:
                 continue
-            for j in range(m - i):
-                bj = b.payload[j]
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return RingElement(self, tuple(out))
+            for j, y in ys:
+                if i + j >= m:
+                    break
+                out[i + j] = out[i + j] + x * y
+        return RingElement(self, tuple(map(base.cook, out)))
 
     def neg(self, a):
-        return RingElement(self, tuple(-c for c in a.payload))
+        raw, cook = self.base.raw, self.base.cook
+        return RingElement(self, tuple([cook(-raw(c)) for c in a.payload]))
 
     def is_unit(self, a):
         return a.payload[0].is_unit()
@@ -469,15 +515,19 @@ class TruncatedSeriesRing(LocalRing):
         # b0 = a0^-1, then a*b = 1 forces b_i = -a0^-1 * sum a_k b_{i-k}.
         if not self.is_unit(a):
             raise NotAUnit(f"{a!r} is not a unit in {self}")
-        c0 = a.payload[0].inverse()
-        out = [c0]
+        base = self.base
+        raw, cook = base.raw, base.cook
+        xs = [raw(c) for c in a.payload]
+        out = [base.inverse(a.payload[0])]
+        bs = [raw(out[0])]
+        c0, zero = bs[0], raw(base.zero)
         for i in range(1, self.precision):
-            s = self.base.zero
+            s = zero
             for k in range(1, i + 1):
-                ak = a.payload[k]
-                if ak:
-                    s = s + ak * out[i - k]
-            out.append(-(c0 * s))
+                if xs[k]:
+                    s = s + xs[k] * bs[i - k]
+            out.append(cook(-(c0 * s)))
+            bs.append(raw(out[-1]))
         return RingElement(self, tuple(out))
 
     def elements(self):

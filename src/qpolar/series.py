@@ -100,16 +100,20 @@ def lift_root(sq: SeriesQuadratic, b0) -> RingElement:
     pivot = b0 + b0 - mu[0]
     if not pivot.is_unit():
         raise PivotNotUnit(f"2*{b0!r} - {mu[0]!r} is not a unit in {base!r}")
-    inv = pivot.inverse()
+    raw, cook = base.raw, base.cook
+    inv = raw(pivot.inverse())
+    mu, lam = [raw(c) for c in mu], [raw(c) for c in lam]
 
     b = [b0]
+    rb = [raw(b0)]
     for i in range(1, ring.precision):
         acc = lam[i]
         for k in range(i):
-            acc = acc + b[k] * mu[i - k]
+            acc = acc + rb[k] * mu[i - k]
         for k in range(1, i):
-            acc = acc - b[k] * b[i - k]
-        b.append(inv * acc)
+            acc = acc - rb[k] * rb[i - k]
+        b.append(cook(inv * acc))
+        rb.append(raw(b[-1]))
     y = ring.element(b)
     if not sq.holds_for(y):
         raise WitnessInvalid(f"lifted {y!r} is not a root of the series quadratic")
@@ -162,7 +166,7 @@ def quasipolar_witness_m2_series(a: ShapedMatrix, view=None) -> QuasipolarWitnes
     Otherwise the witness is built from that one classification; a
     finite oracle view adds an exhaustive double-commutant recheck.
     """
-    if a.shape.name != M2.name:
+    if a.shape != M2:
         raise UnsupportedShape(f"expected shape M2, got {a.shape.name}")
     cls = classify_m2(a)
     if cls.kind is M2Kind.NOT_QUASIPOLAR:

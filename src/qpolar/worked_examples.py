@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .m2 import find_root_split
+from .m2 import M2Kind, classify_m2, quasipolar_witness_m2
 from .matrices import M2, ShapedMatrix, char_poly_2x2
 from .rings import IntegersMod, RingElement, TruncatedSeriesRing
-from .series import lift_split, quasipolar_witness_m2_series, constant_term_matrix
 from .witnesses import CheckReport, WitnessInvalid
 
 
@@ -108,20 +107,27 @@ def all_examples() -> list:
 
 
 def verify_example(ex: WorkedExample) -> CheckReport:
-    """Recompute everything about a pinned example and compare."""
-    entries = []
+    """Recompute everything about a pinned example and compare.
+
+    The matrix is classified once: that splits the constant quadratic
+    and lifts its radical root, and the witness is built from the same
+    classification.
+    """
+    cls = classify_m2(ex.matrix)
+    if cls.kind is not M2Kind.SPLIT:
+        raise WitnessInvalid(f"{ex.name} is {cls.kind.value}, not a root split")
+    alpha, beta = cls.roots
     chi = char_poly_2x2(ex.matrix)
-    chi0 = char_poly_2x2(constant_term_matrix(ex.matrix))
-    alpha0, beta0 = find_root_split(chi0, chi0.tr.ring)
-    entries.append(("constant_split", (alpha0, beta0) == ex.constant_split))
-    alpha, beta = lift_split(chi, ex.ring)
-    entries.append(("alpha_lift", alpha == ex.alpha))
-    entries.append(("beta_lift", beta == ex.beta))
-    entries.append(("alpha_root", chi.evaluate(alpha) == ex.ring.zero))
-    entries.append(("beta_root", chi.evaluate(beta) == ex.ring.zero))
-    entries.append(("alpha_radical", alpha.in_jacobson()))
-    entries.append(("beta_unit", beta.is_unit()))
-    w = quasipolar_witness_m2_series(ex.matrix)
+    entries = [
+        ("constant_split", (alpha.payload[0], beta.payload[0]) == ex.constant_split),
+        ("alpha_lift", alpha == ex.alpha),
+        ("beta_lift", beta == ex.beta),
+        ("alpha_root", chi.evaluate(alpha) == ex.ring.zero),
+        ("beta_root", chi.evaluate(beta) == ex.ring.zero),
+        ("alpha_radical", alpha.in_jacobson()),
+        ("beta_unit", beta.is_unit()),
+    ]
+    w = quasipolar_witness_m2(ex.matrix, cls=cls)
     entries.extend(w.report.entries)
     if ex.spectral is not None:
         entries.append(("spectral_matches", w.p == ex.spectral))

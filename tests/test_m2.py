@@ -9,6 +9,7 @@ from qpolar import (
     M2Kind,
     NotQuasipolarError,
     PreconditionViolation,
+    Shape,
     T2,
     UnsupportedShape,
     char_poly_2x2,
@@ -48,6 +49,11 @@ class TestClassification:
     def test_rejects_other_shapes(self, z4):
         with pytest.raises(UnsupportedShape):
             classify_m2(ShapedMatrix.from_rows(z4, T2, [[1, 0], [0, 1]]))
+
+    def test_rejects_a_same_named_shape_with_another_mask(self, z4):
+        impostor = Shape("M2", 2, T2.mask, "det2")
+        with pytest.raises(UnsupportedShape):
+            classify_m2(ShapedMatrix.from_rows(z4, impostor, [[1, 1], [0, 2]]))
 
 
 class TestWitnesses:

@@ -1,4 +1,7 @@
+import inspect
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +17,7 @@ from qpolar import (
     TruncatedSeriesRing,
     parse_ring,
 )
+from qpolar.rings import RingElement, _ModularRing
 
 
 def test_modular_arithmetic(z4):
@@ -189,3 +193,156 @@ def test_parse_ring_rejects_bad_spellings():
 def test_parse_ring_round_trips_repr(z4, f2, f3, z8, zloc2):
     for ring in (z4, f2, f3, z8, zloc2, TruncatedSeriesRing(z4, 4)):
         assert parse_ring(repr(ring)) == ring
+
+
+# The RingElement loops the raw-payload series kernel replaced, kept as
+# the reference it must agree with.
+
+
+def loop_add(ring, a, b):
+    return RingElement(ring, tuple(x + y for x, y in zip(a.payload, b.payload)))
+
+
+def loop_mul(ring, a, b):
+    m = ring.precision
+    out = [ring.base.element(0)] * m
+    for i, ai in enumerate(a.payload):
+        if not ai:
+            continue
+        for j in range(m - i):
+            bj = b.payload[j]
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return RingElement(ring, tuple(out))
+
+
+def loop_neg(ring, a):
+    return RingElement(ring, tuple(-c for c in a.payload))
+
+
+def loop_inverse(ring, a):
+    c0 = a.payload[0].inverse()
+    out = [c0]
+    for i in range(1, ring.precision):
+        s = ring.base.element(0)
+        for k in range(1, i + 1):
+            ak = a.payload[k]
+            if ak:
+                s = s + ak * out[i - k]
+        out.append(-(c0 * s))
+    return RingElement(ring, tuple(out))
+
+
+def random_element(rng, ring):
+    """About a third of the coefficients zero, so the zero skips run too."""
+    if isinstance(ring, TruncatedSeriesRing):
+        coeffs = [
+            ring.base.zero if rng.random() < 0.3 else random_element(rng, ring.base)
+            for _ in range(ring.precision)
+        ]
+        return ring.element(coeffs)
+    if isinstance(ring, LocalizedIntegers):
+        return ring.element(Fraction(rng.randint(-40, 40), rng.choice([1, 3, 5, 7, 9, 15])))
+    return ring.element(rng.randrange(ring.cardinality()))
+
+
+def assert_canonical(x):
+    """Zloc payloads stay Fractions, residues stay in [0, modulus)."""
+    ring = x.ring
+    if isinstance(ring, TruncatedSeriesRing):
+        assert isinstance(x.payload, tuple) and len(x.payload) == ring.precision
+        for c in x.payload:
+            assert c.ring is ring.base
+            assert_canonical(c)
+    elif isinstance(ring, LocalizedIntegers):
+        assert type(x.payload) is Fraction
+    else:
+        assert type(x.payload) is int and 0 <= x.payload < ring.modulus
+
+
+def check_against_loops(ring, a, b):
+    for got, want in [
+        (a + b, loop_add(ring, a, b)),
+        (a * b, loop_mul(ring, a, b)),
+        (-a, loop_neg(ring, a)),
+        (a - b, loop_add(ring, a, loop_neg(ring, b))),
+    ]:
+        assert got == want
+        assert_canonical(got)
+    # In a local ring 1 + a is a unit whenever a is not.
+    u = a if a.is_unit() else a + 1
+    got = u.inverse()
+    assert got == loop_inverse(ring, u)
+    assert_canonical(got)
+    assert got * u == ring.one
+
+
+SERIES_RINGS = [
+    "series(F3,8)",
+    "series(Z2^2,16)",
+    "series(Zloc2,8)",
+    "series(series(F2,2),3)",
+]
+
+
+class TestSeriesKernel:
+    @pytest.mark.parametrize("spelling", SERIES_RINGS)
+    def test_matches_the_loops_on_seeded_pairs(self, spelling):
+        ring = parse_ring(spelling)
+        rng = random.Random(spelling)
+        for _ in range(200):
+            check_against_loops(ring, random_element(rng, ring), random_element(rng, ring))
+
+    def test_matches_the_loops_exhaustively_over_series_f2_3(self, f2):
+        ring = TruncatedSeriesRing(f2, 3)
+        carrier = list(ring.elements())
+        for a, b in product(carrier, repeat=2):
+            check_against_loops(ring, a, b)
+
+    def test_hooks_keep_payloads_canonical(self, z4, zloc2):
+        assert z4.cook(-7).payload == 1
+        assert type(zloc2.cook(0).payload) is Fraction
+        assert zloc2.cook(Fraction(2, 6)).payload == Fraction(1, 3)
+        assert zloc2.raw(zloc2.element(3)) == Fraction(3)
+        nested = TruncatedSeriesRing(TruncatedSeriesRing(z4, 2), 2)
+        inner = nested.base.element([1, 2])
+        assert nested.base.raw(inner) is inner and nested.base.cook(inner) is inner
+        # Every coefficient of a Zloc series product is a Fraction, zeros too.
+        ring = TruncatedSeriesRing(zloc2, 4)
+        x = ring.parse("x^3")
+        assert_canonical(x * x)
+        assert_canonical(ring.parse("3").inverse())
+
+    @pytest.mark.parametrize("spelling", ["F2", "Z2^2", "Zloc2", *SERIES_RINGS])
+    def test_zero_and_one_are_built_once(self, spelling):
+        ring = parse_ring(spelling)
+        assert ring.zero is ring.zero
+        assert ring.one is ring.one
+        assert not ring.zero and ring.one
+
+    def test_zero_and_one_stay_plain_properties(self):
+        # Instrumentation wraps a property's fget; a cached_property or an
+        # instance attribute named zero would slip past it.
+        for name in ("zero", "one"):
+            assert type(inspect.getattr_static(TruncatedSeriesRing, name)) is property
+
+    def test_series_mul_makes_no_wrapped_scalar_ops(self, monkeypatch, z4):
+        # A cost pin: the product convolves raw residues, so it never calls
+        # the base ring's element-level add or mul.
+        calls = [0]
+        for name in ("add", "mul"):
+            orig = getattr(_ModularRing, name)
+
+            def counted(self, a, b, orig=orig):
+                calls[0] += 1
+                return orig(self, a, b)
+
+            monkeypatch.setattr(_ModularRing, name, counted)
+        ring = TruncatedSeriesRing(z4, 8)
+        a = ring.parse("1 + 3*x + 2*x^2 + x^5 + 3*x^7")
+        b = ring.parse("3 + x + x^3 + 2*x^4 + x^6")
+        want = loop_mul(ring, a, b)
+        assert calls[0] > 0  # the wrappers see the reference loop's ops
+        calls[0] = 0
+        assert a * b == want
+        assert calls[0] == 0

@@ -188,6 +188,15 @@ class TestConstantGate:
         with pytest.raises(UnsupportedShape):
             quasipolar_witness_m2_series(a)
 
+    def test_rejects_a_same_named_shape_with_another_mask(self):
+        ring = TruncatedSeriesRing(IntegersMod(2, 2), 2)
+        from qpolar import Shape, T2
+
+        impostor = Shape("M2", 2, T2.mask, "det2")
+        a = ShapedMatrix.from_rows(ring, impostor, [["3", "2 + 2*x"], [0, "2 + 3*x"]])
+        with pytest.raises(UnsupportedShape):
+            quasipolar_witness_m2_series(a)
+
 
 class TestBleachedTransfer:
     def test_base_and_quotient_agree(self):

@@ -4,7 +4,8 @@ Exit codes: 0 when the requested computation succeeded (including a
 correct negative classification), 1 when a verification failed (witness
 invariant broke or a sweep found mismatches), 2 on unusable input.
 Output is deterministic: no timestamps, counts pre-sorted, JSON keys
-sorted.
+sorted.  ``main(argv)`` may be called any number of times in one
+process: it builds the argument parser on its first call and reuses it.
 """
 
 from __future__ import annotations
@@ -293,8 +294,14 @@ _DISPATCH = {
 }
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return _DISPATCH[args.verb](args)
     except WitnessInvalid as exc:

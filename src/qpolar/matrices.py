@@ -24,11 +24,19 @@ the shape ring exactly when its diagonal entries are units, and lies in
 the radical exactly when its diagonal entries do; for M2 the tests are
 det(A) a unit, respectively all entries radical.  M3 carries no unit or
 radical test here; it exists for input/output and negative results only.
+
+Products, sums and differences go through the ring's ``raw``/``cook``
+hooks (see :mod:`qpolar.rings`): each entry is unwrapped once and each
+result entry is cooked once.  A product sums raw values over the
+shape's product terms and puts the ring's zero off the mask; sums and
+differences combine every entry.  Shapes compare by value, never by
+name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .rings import (
     LocalRing,
@@ -127,9 +135,21 @@ _TERMS_CACHE: dict = {}
 
 
 def _terms_for(shape: Shape):
-    got = _TERMS_CACHE.get(shape.name)
+    """Per mask position, (slot, p, q, rest) over row-major flat indices.
+
+    The product's entry at slot i*n + j sums x[p]*y[q] over its first
+    term and every pair in ``rest``, with (p, q) = (i*n + k, k*n + j).
+    Every mask position has a term (k = i), so no sum starts from zero.
+    Cached by shape value: two shapes may share a name.
+    """
+    got = _TERMS_CACHE.get(shape)
     if got is None:
-        got = _TERMS_CACHE[shape.name] = shape.product_terms()
+        n = shape.n
+        got = []
+        for (i, j), ks in shape.product_terms().items():
+            (p, q), *rest = [(i * n + k, k * n + j) for k in ks]
+            got.append((i * n + j, p, q, tuple(rest)))
+        got = _TERMS_CACHE[shape] = tuple(got)
     return got
 
 
@@ -188,34 +208,33 @@ class ShapedMatrix:
     def _check_peer(self, other):
         if not isinstance(other, ShapedMatrix):
             raise TypeError(f"expected a ShapedMatrix, got {other!r}")
-        if other.ring != self.ring:
+        if not (other.ring is self.ring or other.ring == self.ring):
             raise RingMismatch("matrices over different rings")
-        if other.shape.name != self.shape.name:
+        if not (other.shape is self.shape or other.shape == self.shape):
             raise ShapeMismatch(
                 f"cannot combine shapes {self.shape.name} and {other.shape.name}"
             )
 
-    def __add__(self, other):
+    def _flat_raw(self):
+        raw = self.ring.raw
+        return [raw(x) for row in self.rows for x in row]
+
+    def _from_flat(self, out) -> ShapedMatrix:
+        # zip over n copies of one iterator regroups the flat list into rows.
+        return ShapedMatrix(self.ring, self.shape, tuple(zip(*[iter(out)] * self.shape.n)))
+
+    def _entrywise(self, other, op) -> ShapedMatrix:
         self._check_peer(other)
-        return ShapedMatrix(
-            self.ring,
-            self.shape,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
+        cook = self.ring.cook
+        return self._from_flat(
+            [cook(op(x, y)) for x, y in zip(self._flat_raw(), other._flat_raw())]
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        self._check_peer(other)
-        return ShapedMatrix(
-            self.ring,
-            self.shape,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return ShapedMatrix(
@@ -224,17 +243,16 @@ class ShapedMatrix:
 
     def __mul__(self, other):
         self._check_peer(other)
-        n = self.shape.n
-        zero = self.ring.zero
-        terms = _terms_for(self.shape)
-        grid = [[zero] * n for _ in range(n)]
-        a, b = self.rows, other.rows
-        for (i, j), ks in terms.items():
-            acc = zero
-            for k in ks:
-                acc = acc + a[i][k] * b[k][j]
-            grid[i][j] = acc
-        return ShapedMatrix(self.ring, self.shape, tuple(tuple(r) for r in grid))
+        ring = self.ring
+        cook = ring.cook
+        xs, ys = self._flat_raw(), other._flat_raw()
+        out = [ring.zero] * len(xs)
+        for slot, p, q, rest in _terms_for(self.shape):
+            acc = xs[p] * ys[q]
+            for p, q in rest:
+                acc = acc + xs[p] * ys[q]
+            out[slot] = cook(acc)
+        return self._from_flat(out)
 
     def scale(self, c: RingElement) -> ShapedMatrix:
         """Multiply every entry by the scalar c (the base ring is commutative)."""
@@ -245,13 +263,13 @@ class ShapedMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, ShapedMatrix)
-            and other.ring == self.ring
-            and other.shape.name == self.shape.name
+            and (other.ring is self.ring or other.ring == self.ring)
+            and (other.shape is self.shape or other.shape == self.shape)
             and other.rows == self.rows
         )
 
     def __hash__(self):
-        return hash((self.ring, self.shape.name, self.rows))
+        return hash((self.ring, self.shape, self.rows))
 
     def is_unit(self) -> bool:
         """Invertibility inside the shape ring."""
@@ -381,7 +399,7 @@ class ShapeIso:
     reverses_products: bool = False
 
     def apply(self, a: ShapedMatrix) -> ShapedMatrix:
-        if a.shape.name != self.source.name:
+        if a.shape != self.source:
             raise ShapeMismatch(f"{self.name} expects shape {self.source.name}")
         n = self.target.n
         zero = a.ring.zero
@@ -472,7 +490,7 @@ class SplitIso:
     scalar_from: tuple  # (i,j) in source
 
     def apply(self, a: ShapedMatrix):
-        if a.shape.name != self.source.name:
+        if a.shape != self.source:
             raise ShapeMismatch(f"{self.name} expects shape {self.source.name}")
         zero = a.ring.zero
         grid = [[zero, zero], [zero, zero]]
@@ -540,7 +558,7 @@ def corner_projector(ring: LocalRing) -> ShapedMatrix:
 
 def corner_embed_t2(a: ShapedMatrix) -> ShapedMatrix:
     """Embed a T2 matrix into the diag(1,1,0) corner of T3."""
-    if a.shape.name != T2.name:
+    if a.shape != T2:
         raise ShapeMismatch("corner_embed_t2 expects shape T2")
     z = a.ring.zero
     r = a.rows
@@ -553,7 +571,7 @@ def corner_embed_t2(a: ShapedMatrix) -> ShapedMatrix:
 
 def corner_extract_t2(a: ShapedMatrix) -> ShapedMatrix:
     """Invert :func:`corner_embed_t2`; the input must lie in the corner."""
-    if a.shape.name != T3.name:
+    if a.shape != T3:
         raise ShapeMismatch("corner_extract_t2 expects shape T3")
     zero = a.ring.zero
     for (i, j) in T3.positions:

@@ -88,7 +88,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if not (other.ring is self.ring or other.ring == self.ring):
                 raise RingMismatch(f"cannot combine {self.ring} with {other.ring}")
             return other
         if isinstance(other, int):
@@ -150,7 +150,7 @@ class RingElement:
         o = self._coerce(other) if not isinstance(other, RingElement) else other
         if not isinstance(o, RingElement):
             return NotImplemented
-        return self.ring == o.ring and self.payload == o.payload
+        return (self.ring is o.ring or self.ring == o.ring) and self.payload == o.payload
 
     def __hash__(self):
         return hash((self.ring, self.payload))
@@ -248,7 +248,7 @@ class _ModularRing(LocalRing):
 
     def element(self, value) -> RingElement:
         if isinstance(value, RingElement):
-            if value.ring != self:
+            if not (value.ring is self or value.ring == self):
                 raise RingMismatch(f"{value!r} is not in {self}")
             return value
         if isinstance(value, int):
@@ -340,7 +340,7 @@ class LocalizedIntegers(LocalRing):
 
     def element(self, value) -> RingElement:
         if isinstance(value, RingElement):
-            if value.ring != self:
+            if not (value.ring is self or value.ring == self):
                 raise RingMismatch(f"{value!r} is not in {self}")
             return value
         if isinstance(value, int):
@@ -422,9 +422,9 @@ class TruncatedSeriesRing(LocalRing):
 
     def element(self, value) -> RingElement:
         if isinstance(value, RingElement):
-            if value.ring == self:
+            if value.ring is self or value.ring == self:
                 return value
-            if value.ring == self.base:
+            if value.ring is self.base or value.ring == self.base:
                 value = [value]
             else:
                 raise RingMismatch(f"{value!r} is not in {self}")

@@ -97,7 +97,7 @@ class CaseTag:
 
 
 def _require_shape(a: ShapedMatrix, shape) -> None:
-    if a.shape.name != shape.name:
+    if not (a.shape is shape or a.shape == shape):
         raise UnsupportedShape(f"expected shape {shape.name}, got {a.shape.name}")
 
 
@@ -199,7 +199,7 @@ def scalar_quasipolar(x: RingElement):
     return ring.one, x + ring.one, x
 
 
-_SPLITS = {L3.name: SPLIT_L3, S1.name: SPLIT_S1, S2.name: SPLIT_S2}
+_SPLITS = {L3: SPLIT_L3, S1: SPLIT_S1, S2: SPLIT_S2}
 
 
 def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
@@ -213,28 +213,28 @@ def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
     witnesses all the same because p commutes with A).  Raises NotQuasipolarError for an
     obstructed M2 matrix.
     """
-    name = a.shape.name
-    if name == T3.name:
+    shape = a.shape
+    if shape == T3:
         return quasipolar_witness_t3(a, view=view)
-    if name == T2.name:
+    if shape == T2:
         return quasipolar_witness_t2(a, view=view)
-    if name == M2.name:
+    if shape == M2:
         if isinstance(a.ring, TruncatedSeriesRing):
             return quasipolar_witness_m2_series(a, view=view)
         return quasipolar_witness_m2(a, view=view)
-    if name in _SPLITS:
-        split = _SPLITS[name]
+    if shape in _SPLITS:
+        split = _SPLITS[shape]
         t2_part, scalar_part = split.apply(a)
         p = split.build_source(_t2_idempotent(t2_part), scalar_quasipolar(scalar_part)[0])
-    elif name == LOW3.name:
+    elif shape == LOW3:
         b = ISO_LOW3_TO_T3.apply(a)
         p = ISO_T3_TO_LOW3.apply(spectral_idempotent_t3(b))
-    elif name == UP3.name:
+    elif shape == UP3:
         b = ISO_UP3_TO_T3.apply(a)
         p = ISO_UP3_TO_T3.inverse().apply(spectral_idempotent_t3(b))
     else:
         raise UnsupportedShape(
-            f"no constructive decomposition for shape {name}; "
+            f"no constructive decomposition for shape {shape.name}; "
             "supported: T2, T3, L3, LOW3, UP3, S1, S2, M2"
         )
     return _finish_witness(a, p, view)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from qpolar import (
     LocalizedIntegers,
     PrimeField,
     ShapedMatrix,
+    TruncatedSeriesRing,
 )
 
 
@@ -42,3 +44,30 @@ def random_matrix(rng: random.Random, ring, shape) -> ShapedMatrix:
     for i, j in shape.positions:
         rows[i][j] = pool[rng.randrange(len(pool))]
     return ShapedMatrix.from_rows(ring, shape, rows)
+
+
+def random_element(rng, ring):
+    """About a third of the coefficients zero, so the zero skips run too."""
+    if isinstance(ring, TruncatedSeriesRing):
+        coeffs = [
+            ring.base.zero if rng.random() < 0.3 else random_element(rng, ring.base)
+            for _ in range(ring.precision)
+        ]
+        return ring.element(coeffs)
+    if isinstance(ring, LocalizedIntegers):
+        return ring.element(Fraction(rng.randint(-40, 40), rng.choice([1, 3, 5, 7, 9, 15])))
+    return ring.element(rng.randrange(ring.cardinality()))
+
+
+def assert_canonical(x):
+    """Zloc payloads stay Fractions, residues stay in [0, modulus)."""
+    ring = x.ring
+    if isinstance(ring, TruncatedSeriesRing):
+        assert isinstance(x.payload, tuple) and len(x.payload) == ring.precision
+        for c in x.payload:
+            assert c.ring is ring.base
+            assert_canonical(c)
+    elif isinstance(ring, LocalizedIntegers):
+        assert type(x.payload) is Fraction
+    else:
+        assert type(x.payload) is int and 0 <= x.payload < ring.modulus

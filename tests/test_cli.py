@@ -1,10 +1,15 @@
 """Command line surface: output stability, JSON fidelity, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qpolar.cli as cli
 from qpolar import Comm2Evidence, QuasipolarWitness, TruncatedSeriesRing, matrix_from_json
 from qpolar.cli import main
 
@@ -218,3 +223,65 @@ class TestVerbs:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def run_all(capsys, argv):
+    """(exit code, stdout, stderr) of one request, argparse refusals included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    def test_two_requests_build_one_parser(self, capsys, monkeypatch):
+        # A new bound: raise it only with a CHANGES.md entry that says why.
+        calls = [0]
+        build = cli.build_parser
+
+        def counted():
+            calls[0] += 1
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        run(capsys, T3_ARGS)
+        run(capsys, T3_ARGS + ["--format", "json"])
+        assert calls[0] == 1
+
+    def test_importing_the_cli_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import qpolar.cli as cli\n"
+            "print(len(built), cli._PARSER is None)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        ).stdout
+        assert out.split() == ["0", "True"]
+
+    def test_a_reused_parser_answers_like_a_new_one(self, capsys, monkeypatch):
+        sequence = [
+            T3_ARGS + ["--oracle", "--format", "json"],
+            T3_ARGS,
+            ["classify-m2", "--ring", "Zloc2", "--matrix", "[0,-2; 1,1]"],
+            ["decompose", "--ring", "F2", "--shape"],  # argparse refusal
+            T3_ARGS,
+        ]
+        monkeypatch.setattr(cli, "_PARSER", None)
+        reused = [run_all(capsys, argv) for argv in sequence]
+        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0]
+        assert "expected one argument" in reused[3][2]
+        for argv, got in zip(sequence, reused):
+            monkeypatch.setattr(cli, "_PARSER", None)
+            assert run_all(capsys, argv) == got

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from qpolar import (
     get_view,
     matrix_from_json,
     parse_matrix,
+    parse_ring,
     parse_shape,
 )
 from qpolar.matrices import (
@@ -32,12 +34,15 @@ from qpolar.matrices import (
     SPLIT_S1,
     SPLIT_S2,
     UP3,
+    Shape,
     corner_embed_t2,
     corner_extract_t2,
     corner_projector,
 )
 
-from conftest import random_matrix
+from qpolar.rings import _ModularRing
+
+from conftest import assert_canonical, random_element, random_matrix
 
 
 def test_every_shape_is_closed_under_product():
@@ -240,3 +245,108 @@ def test_json_round_trip_series(z4):
     ring = TruncatedSeriesRing(z4, 3)
     a = parse_matrix(ring, M2, "[3, 2 + 2*x; 2 + x, 2 + 3*x]")
     assert matrix_from_json(a.to_json()) == a
+
+
+# The RingElement loops the raw-payload matrix kernel replaced, kept as
+# the reference it must agree with.
+
+
+def loop_mul(a, b):
+    n = a.shape.n
+    zero = a.ring.zero
+    grid = [[zero] * n for _ in range(n)]
+    for (i, j), ks in a.shape.product_terms().items():
+        acc = zero
+        for k in ks:
+            acc = acc + a.rows[i][k] * b.rows[k][j]
+        grid[i][j] = acc
+    return ShapedMatrix(a.ring, a.shape, tuple(tuple(r) for r in grid))
+
+
+def loop_add(a, b):
+    return ShapedMatrix(
+        a.ring, a.shape, tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows))
+    )
+
+
+def loop_sub(a, b):
+    return ShapedMatrix(
+        a.ring, a.shape, tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows))
+    )
+
+
+def random_shaped(rng, ring, shape):
+    """Random entries on the mask, about a fifth of them zero."""
+    rows = [[ring.zero] * shape.n for _ in range(shape.n)]
+    for i, j in shape.positions:
+        if rng.random() >= 0.2:
+            rows[i][j] = random_element(rng, ring)
+    return ShapedMatrix.from_rows(ring, shape, rows)
+
+
+KERNEL_RINGS = ["F3", "Z2^2", "Zloc2", "series(F2,3)", "series(Zloc2,4)"]
+KERNEL_SHAPES = [*SHAPES.values(), TN(4)]
+
+
+class TestRawKernel:
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("spelling", KERNEL_RINGS)
+    def test_matches_the_element_loops(self, spelling, shape):
+        ring = parse_ring(spelling)
+        rng = random.Random(f"{spelling}/{shape.name}")
+        for _ in range(200):
+            a, b = random_shaped(rng, ring, shape), random_shaped(rng, ring, shape)
+            for got, want in [
+                (a * b, loop_mul(a, b)),
+                (a + b, loop_add(a, b)),
+                (a - b, loop_sub(a, b)),
+            ]:
+                assert got == want
+                assert got.ring is ring and got.shape is shape
+                for row in got.rows:
+                    for x in row:
+                        assert x.ring is ring
+                        assert_canonical(x)
+
+    def test_products_and_sums_make_no_wrapped_scalar_ops(self, monkeypatch, z4):
+        # A cost pin: the kernel sums raw residues and reduces once per
+        # slot, so it never calls the ring's element-level add or mul.
+        calls = [0]
+        for name in ("add", "mul"):
+            orig = getattr(_ModularRing, name)
+
+            def counted(self, a, b, orig=orig):
+                calls[0] += 1
+                return orig(self, a, b)
+
+            monkeypatch.setattr(_ModularRing, name, counted)
+        a = parse_matrix(z4, T3, "[1,0,0; 3,2,1; 0,0,3]")
+        b = parse_matrix(z4, T3, "[3,0,0; 1,1,2; 0,0,2]")
+        want = [loop_mul(a, b), loop_add(a, b), loop_sub(a, b)]
+        assert calls[0] > 0  # the wrappers see the reference loops' ops
+        calls[0] = 0
+        assert a * b == want[0]
+        assert calls[0] == 0
+        assert [a + b, a - b] == want[1:]
+        assert calls[0] == 0
+
+    def test_same_named_shapes_are_told_apart(self, z4):
+        t3 = parse_matrix(z4, T3, "[1,0,0; 1,2,1; 0,0,3]")
+        assert t3 * t3 == loop_mul(t3, t3)  # caches T3's product terms first
+        fake = Shape("T3", 3, UP3.mask)
+        rows = [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
+        m = ShapedMatrix.from_rows(z4, fake, rows)
+        assert m * m == ShapedMatrix.from_rows(z4, fake, [[1, 0, 2], [0, 1, 2], [0, 0, 1]])
+        up3 = ShapedMatrix.from_rows(z4, UP3, rows)
+        assert (m * m).rows == (up3 * up3).rows
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(ShapeMismatch):
+                op(m, t3)
+        assert m != up3
+        with pytest.raises(ShapeMismatch):
+            ISO_UP3_TO_T3.apply(m)
+        # A shape equal in value is the same shape.
+        twin = Shape("T3", 3, T3.mask)
+        t3_twin = ShapedMatrix(z4, twin, t3.rows)
+        assert t3_twin == t3 and hash(t3_twin) == hash(t3)
+        assert t3_twin * t3 == t3 * t3

@@ -1,4 +1,5 @@
 import inspect
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,6 +7,7 @@ from itertools import product
 import pytest
 
 from qpolar import (
+    M2,
     InfiniteRing,
     IntegersMod,
     InvalidElement,
@@ -14,10 +16,13 @@ from qpolar import (
     PrimeField,
     RingMismatch,
     RingParseError,
+    ShapedMatrix,
     TruncatedSeriesRing,
     parse_ring,
 )
 from qpolar.rings import RingElement, _ModularRing
+
+from conftest import assert_canonical, random_element
 
 
 def test_modular_arithmetic(z4):
@@ -163,6 +168,36 @@ def test_cross_ring_equality_is_false_not_an_error(z4, f2):
         z4.element(1) + f2.element(1)
 
 
+@pytest.mark.parametrize("spelling", ["F3", "Z2^2", "Zloc2", "series(Z2^2,3)"])
+def test_rings_from_different_parses_still_mix(spelling):
+    # Identity is only a fast path: equal rings from two parses combine.
+    r1, r2 = parse_ring(spelling), parse_ring(spelling)
+    assert r1 is not r2 and r1 == r2
+    x, y = r1.element(1), r2.element(1)
+    assert x == y and hash(x) == hash(y)
+    assert x + y == r1.element(2) and x * y == r2.one
+    assert r2.element(x) is x
+    a, b = ShapedMatrix.identity(r1, M2), ShapedMatrix.identity(r2, M2)
+    assert a == b and hash(a) == hash(b)
+    assert a * b == a and a - b == ShapedMatrix.zero(r2, M2)
+
+
+def test_ring_mismatch_still_raises(z4, f2):
+    with pytest.raises(RingMismatch):
+        f2.element(z4.one)
+    with pytest.raises(RingMismatch):
+        z4.element(f2.one)
+    with pytest.raises(RingMismatch):
+        LocalizedIntegers(2).element(f2.one)
+    with pytest.raises(RingMismatch):
+        TruncatedSeriesRing(z4, 2).element(f2.one)
+    a, b = ShapedMatrix.identity(z4, M2), ShapedMatrix.identity(f2, M2)
+    assert a != b
+    for op in (operator.mul, operator.add, operator.sub):
+        with pytest.raises(RingMismatch):
+            op(a, b)
+
+
 def test_element_dunders(z4):
     a = z4.element(3)
     assert 1 + a == 0
@@ -231,33 +266,6 @@ def loop_inverse(ring, a):
                 s = s + ak * out[i - k]
         out.append(-(c0 * s))
     return RingElement(ring, tuple(out))
-
-
-def random_element(rng, ring):
-    """About a third of the coefficients zero, so the zero skips run too."""
-    if isinstance(ring, TruncatedSeriesRing):
-        coeffs = [
-            ring.base.zero if rng.random() < 0.3 else random_element(rng, ring.base)
-            for _ in range(ring.precision)
-        ]
-        return ring.element(coeffs)
-    if isinstance(ring, LocalizedIntegers):
-        return ring.element(Fraction(rng.randint(-40, 40), rng.choice([1, 3, 5, 7, 9, 15])))
-    return ring.element(rng.randrange(ring.cardinality()))
-
-
-def assert_canonical(x):
-    """Zloc payloads stay Fractions, residues stay in [0, modulus)."""
-    ring = x.ring
-    if isinstance(ring, TruncatedSeriesRing):
-        assert isinstance(x.payload, tuple) and len(x.payload) == ring.precision
-        for c in x.payload:
-            assert c.ring is ring.base
-            assert_canonical(c)
-    elif isinstance(ring, LocalizedIntegers):
-        assert type(x.payload) is Fraction
-    else:
-        assert type(x.payload) is int and 0 <= x.payload < ring.modulus
 
 
 def check_against_loops(ring, a, b):

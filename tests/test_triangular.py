@@ -25,7 +25,7 @@ from qpolar import (
     scalar_quasipolar,
     spectral_idempotent_t3,
 )
-from qpolar.matrices import ShapedMatrix
+from qpolar.matrices import Shape, ShapedMatrix
 
 
 def t3_of(ring, rows):
@@ -199,6 +199,24 @@ class TestTransportedShapes:
         full3 = ShapedMatrix.identity(z4, M3)
         with pytest.raises(UnsupportedShape):
             quasipolar_witness_shape(full3)
+
+    @pytest.mark.parametrize("shape", [T2, T3, L3, LOW3, UP3, S1, S2, M2], ids=lambda s: s.name)
+    def test_dispatch_compares_shapes_by_value(self, z4, shape):
+        # A same-named shape with another mask has no engine; a shape
+        # equal in value dispatches like the built-in one.
+        diagonal = frozenset((i, i) for i in range(shape.n))
+        impostor = Shape(shape.name, shape.n, diagonal)
+        with pytest.raises(UnsupportedShape):
+            quasipolar_witness_shape(ShapedMatrix.identity(z4, impostor))
+        twin = Shape(shape.name, shape.n, shape.mask, shape.unit_rule)
+        a = ShapedMatrix.identity(z4, shape)
+        assert quasipolar_witness_shape(ShapedMatrix(z4, twin, a.rows)) == quasipolar_witness_shape(a)
+
+    def test_t3_engine_refuses_a_same_named_shape(self, z4):
+        impostor = ShapedMatrix.identity(z4, Shape("T3", 3, UP3.mask))
+        for engine in (classify_case, spectral_idempotent_t3, quasipolar_witness_t3):
+            with pytest.raises(UnsupportedShape):
+                engine(impostor)
 
     @pytest.mark.parametrize(
         "ring,shape,rows,engine",

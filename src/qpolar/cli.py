@@ -16,7 +16,7 @@ import sys
 
 from .commutant import check_bleached, check_uniquely_bleached
 from .m2 import M2Kind, NotQuasipolarError, classify_m2, quasipolar_witness_m2
-from .matrices import parse_matrix, parse_shape
+from .matrices import M2, T2, T3, parse_matrix, parse_shape
 from .oracle import get_view
 from .rings import QpolarError, TruncatedSeriesRing, parse_ring
 from .sweeps import (
@@ -122,7 +122,7 @@ def _cmd_decompose(args) -> int:
                      "matrix": a.to_json()}
     lines = [f"ring: {ring!r}", f"shape: {shape.name}", f"matrix: {a!r}"]
 
-    if shape.name == "T3":
+    if shape == T3:
         tag = classify_case(a)
         payload["case"] = tag.case
         payload["pattern"] = list(tag.pattern)
@@ -134,9 +134,9 @@ def _cmd_decompose(args) -> int:
         lines.append(f"not quasipolar: {exc}")
         _emit(args, payload, lines)
         return 0
-    # For T3 the quasipolar idempotent is the case-table E, which is also
+    # For T3 the quasipolar idempotent is the diagonal-pattern E, which is also
     # the rad-clean idempotent.
-    rad = rad_clean_witness_t3(a, w.p) if shape.name == "T3" else None
+    rad = rad_clean_witness_t3(a, w.p) if shape == T3 else None
 
     payload["witness"] = w.to_dict()
     lines.extend(_witness_lines(w))
@@ -152,7 +152,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_classify_m2(args) -> int:
     ring = parse_ring(args.ring)
-    a = parse_matrix(ring, parse_shape("M2"), args.matrix)
+    a = parse_matrix(ring, M2, args.matrix)
     cls = classify_m2(a)
     payload = {"verb": "classify-m2", "ring": repr(ring), "matrix": a.to_json()}
     payload.update(cls.to_dict())
@@ -169,7 +169,7 @@ def _cmd_lift(args) -> int:
     ring = parse_ring(args.ring)
     if not isinstance(ring, TruncatedSeriesRing):
         raise QpolarError(f"lift needs a series ring, got {ring!r}")
-    a = parse_matrix(ring, parse_shape("M2"), args.matrix)
+    a = parse_matrix(ring, M2, args.matrix)
     payload: dict = {"verb": "lift", "ring": repr(ring), "matrix": a.to_json()}
     lines = [f"ring: {ring!r}", f"matrix: {a!r}"]
     # A series is a unit or radical exactly when its constant term is, so
@@ -203,14 +203,14 @@ def _cmd_oracle(args) -> int:
     if args.check == "corner":
         report = corner_equivalence_sweep(ring, shape)
     elif args.check == "rad-clean":
-        if shape.name != "T3":
+        if shape != T3:
             raise QpolarError("rad-clean sweep is defined for shape T3")
         report = t3_rad_clean_sweep(ring)
-    elif shape.name == "T3":
+    elif shape == T3:
         report = t3_case_sweep(ring)
-    elif shape.name == "T2":
+    elif shape == T2:
         report = t2_exhaustive_sweep(ring)
-    elif shape.name == "M2":
+    elif shape == M2:
         report = m2_agreement_sweep(ring)
     else:
         raise QpolarError(f"no oracle sweep for shape {shape.name}")

@@ -372,212 +372,3 @@ def char_poly_2x2(a: ShapedMatrix) -> QuadraticCharPoly:
     if a.shape.n != 2:
         raise UnsupportedShape("char_poly_2x2 needs a 2x2 shape")
     return QuadraticCharPoly(a.trace(), a.det2())
-
-
-# ---------------------------------------------------------------------------
-# Shape isomorphisms.
-#
-# Each 3x3 sparse shape is a ring of the form (product of diagonal copies
-# of R) plus connecting positions; two shapes are isomorphic when their
-# connecting positions can be matched with left/right actions preserved.
-# The maps below relocate entries; `reverses_products` marks the one map
-# that is an anti-isomorphism (it matches T3's connecting positions to
-# UP3's only after transposition, so phi(A*B) = phi(B)*phi(A)).  For
-# witness transport the distinction is harmless because every component
-# of a decomposition commutes with the matrix it decomposes.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShapeIso:
-    """Entry relocation between two shapes of the same size."""
-
-    name: str
-    source: Shape
-    target: Shape
-    moves: tuple  # pairs ((i,j) source, (i,j) target)
-    reverses_products: bool = False
-
-    def apply(self, a: ShapedMatrix) -> ShapedMatrix:
-        if a.shape != self.source:
-            raise ShapeMismatch(f"{self.name} expects shape {self.source.name}")
-        n = self.target.n
-        zero = a.ring.zero
-        grid = [[zero] * n for _ in range(n)]
-        for (si, sj), (ti, tj) in self.moves:
-            grid[ti][tj] = a.rows[si][sj]
-        return ShapedMatrix(a.ring, self.target, tuple(tuple(r) for r in grid))
-
-    def inverse(self) -> ShapeIso:
-        return ShapeIso(
-            f"{self.name}^-1",
-            self.target,
-            self.source,
-            tuple((dst, src) for src, dst in self.moves),
-            self.reverses_products,
-        )
-
-
-def _moves(pairs):
-    return tuple(
-        (((si - 1, sj - 1)), ((ti - 1, tj - 1))) for (si, sj), (ti, tj) in pairs
-    )
-
-
-# T3 -> LOW3: the middle row of T3 becomes the bottom row of LOW3.
-ISO_T3_TO_LOW3 = ShapeIso(
-    "T3->LOW3",
-    T3,
-    LOW3,
-    _moves(
-        [
-            ((1, 1), (1, 1)),
-            ((3, 3), (2, 2)),
-            ((2, 1), (3, 1)),
-            ((2, 3), (3, 2)),
-            ((2, 2), (3, 3)),
-        ]
-    ),
-)
-
-ISO_LOW3_TO_T3 = ISO_T3_TO_LOW3.inverse()
-
-# UP3 -> T3 is transposition followed by the LOW3 relabelling, hence an
-# anti-isomorphism: [a11 0 a13; 0 a22 a23; 0 0 a33] -> [a11 0 0; a13 a33 a23; 0 0 a22].
-ISO_UP3_TO_T3 = ShapeIso(
-    "UP3->T3",
-    UP3,
-    T3,
-    _moves(
-        [
-            ((1, 1), (1, 1)),
-            ((1, 3), (2, 1)),
-            ((3, 3), (2, 2)),
-            ((2, 3), (2, 3)),
-            ((2, 2), (3, 3)),
-        ]
-    ),
-    reverses_products=True,
-)
-
-# S1 -> S2: [a11 0 a13; 0 a22 0; 0 0 a33] -> [a22 0 0; 0 a33 0; 0 a13 a11].
-ISO_S1_TO_S2 = ShapeIso(
-    "S1->S2",
-    S1,
-    S2,
-    _moves(
-        [
-            ((2, 2), (1, 1)),
-            ((3, 3), (2, 2)),
-            ((1, 3), (3, 2)),
-            ((1, 1), (3, 3)),
-        ]
-    ),
-)
-
-
-@dataclass(frozen=True)
-class SplitIso:
-    """An isomorphism from a 3x3 shape onto T2 x R (matrix part, scalar part).
-
-    ``t2_from`` says which source position lands at each T2 position; the
-    remaining diagonal position supplies the scalar factor.
-    """
-
-    name: str
-    source: Shape
-    t2_from: tuple  # pairs ((i,j) in T2, (i,j) in source), 0-indexed
-    scalar_from: tuple  # (i,j) in source
-
-    def apply(self, a: ShapedMatrix):
-        if a.shape != self.source:
-            raise ShapeMismatch(f"{self.name} expects shape {self.source.name}")
-        zero = a.ring.zero
-        grid = [[zero, zero], [zero, zero]]
-        for (ti, tj), (si, sj) in self.t2_from:
-            grid[ti][tj] = a.rows[si][sj]
-        t2 = ShapedMatrix(a.ring, T2, tuple(tuple(r) for r in grid))
-        return t2, a.rows[self.scalar_from[0]][self.scalar_from[1]]
-
-    def build_source(self, t2: ShapedMatrix, scalar: RingElement) -> ShapedMatrix:
-        zero = t2.ring.zero
-        n = self.source.n
-        grid = [[zero] * n for _ in range(n)]
-        for (ti, tj), (si, sj) in self.t2_from:
-            grid[si][sj] = t2.rows[ti][tj]
-        grid[self.scalar_from[0]][self.scalar_from[1]] = scalar
-        return ShapedMatrix(t2.ring, self.source, tuple(tuple(r) for r in grid))
-
-
-# L3: [a11 0 0; 0 a22 0; a31 0 a33] -> ([a33 a31; 0 a11], a22).
-SPLIT_L3 = SplitIso(
-    "L3->T2xR",
-    L3,
-    (((0, 0), (2, 2)), ((0, 1), (2, 0)), ((1, 1), (0, 0))),
-    (1, 1),
-)
-
-# S1: [a11 0 a13; 0 a22 0; 0 0 a33] -> ([a11 a13; 0 a33], a22).
-SPLIT_S1 = SplitIso(
-    "S1->T2xR",
-    S1,
-    (((0, 0), (0, 0)), ((0, 1), (0, 2)), ((1, 1), (2, 2))),
-    (1, 1),
-)
-
-# S2: [a11 0 0; 0 a22 0; 0 a32 a33] -> ([a33 a32; 0 a22], a11).
-SPLIT_S2 = SplitIso(
-    "S2->T2xR",
-    S2,
-    (((0, 0), (2, 2)), ((0, 1), (2, 1)), ((1, 1), (1, 1))),
-    (0, 0),
-)
-
-
-# ---------------------------------------------------------------------------
-# The T2 corner of T3.
-#
-# With E = diag(1,1,0) the corner E*T3*E consists of T3 matrices with
-# zero third row and column.  Matching left and right actions on the
-# connecting entry forces the identification
-#
-#     [a b; 0 c]  <->  [c 0 0; b a 0; 0 0 0]
-#
-# (the T2 diagonal swaps), which is the unique multiplicative one; it is
-# verified on random pairs in the tests.
-# ---------------------------------------------------------------------------
-
-_CORNER_POSITIONS = ((0, 0), (1, 0), (1, 1))
-
-
-def corner_projector(ring: LocalRing) -> ShapedMatrix:
-    """The idempotent diag(1,1,0) of T3, identity of the embedded T2 corner."""
-    z, o = ring.zero, ring.one
-    return ShapedMatrix(ring, T3, ((o, z, z), (z, o, z), (z, z, z)))
-
-
-def corner_embed_t2(a: ShapedMatrix) -> ShapedMatrix:
-    """Embed a T2 matrix into the diag(1,1,0) corner of T3."""
-    if a.shape != T2:
-        raise ShapeMismatch("corner_embed_t2 expects shape T2")
-    z = a.ring.zero
-    r = a.rows
-    return ShapedMatrix(
-        a.ring,
-        T3,
-        ((r[1][1], z, z), (r[0][1], r[0][0], z), (z, z, z)),
-    )
-
-
-def corner_extract_t2(a: ShapedMatrix) -> ShapedMatrix:
-    """Invert :func:`corner_embed_t2`; the input must lie in the corner."""
-    if a.shape != T3:
-        raise ShapeMismatch("corner_extract_t2 expects shape T3")
-    zero = a.ring.zero
-    for (i, j) in T3.positions:
-        if (i, j) not in _CORNER_POSITIONS and a.rows[i][j] != zero:
-            raise ShapeMismatch(
-                f"entry ({i + 1},{j + 1}) is outside the diag(1,1,0) corner"
-            )
-    r = a.rows
-    return ShapedMatrix(a.ring, T2, ((r[1][1], r[1][0]), (zero, r[0][0])))

@@ -92,7 +92,7 @@ def t3_rad_clean_sweep(ring: LocalRing) -> SweepReport:
 
 
 def t2_exhaustive_sweep(ring: LocalRing) -> SweepReport:
-    """Every T2 matrix: corner-embedded construction against oracle search."""
+    """Every T2 matrix: the diagonal-pattern construction against oracle search."""
     view = get_view(ring, T2)
     counts: Counter = Counter()
     failures = []
@@ -173,8 +173,9 @@ def corner_equivalence_sweep(ring: LocalRing, shape: Shape) -> SweepReport:
 
 
 def transport_sweep(ring: LocalRing, shape: Shape, samples: int = 500, seed: int = 0) -> SweepReport:
-    """Random matrices in a transported shape over a finite ring: the shape
-    witness validates and its p appears in the oracle's search."""
+    """Random L3, LOW3, UP3, S1 or S2 matrices over a finite ring: the
+    diagonal-pattern witness validates and its p appears in the oracle's
+    search."""
     view = get_view(ring, shape)
     rng = random.Random(seed)
     keys = view.keys

@@ -1,21 +1,23 @@
 """Quasipolar and rad-clean decompositions for the structured 3x3 shapes.
 
-Over a uniquely bleached commutative local ring, every T3 matrix
+Over a uniquely bleached commutative local ring, every matrix A in one
+of the triangular-type shapes T2, T3, L3, LOW3, UP3, S1 and S2 is
+quasipolar, and its spectral idempotent E is fixed by the unit/radical
+pattern of A's diagonal.  With d_i = 1 when a_ii is radical and 0 when
+it is a unit, E has diagonal d and, at each off-diagonal mask position
+(i,j), the solution of the commutation equation
 
-    A = [a11 0 0; a21 a22 a23; 0 0 a33]
+    a_ii*e_ij - e_ij*a_jj = (d_i - d_j)*a_ij
 
-is quasipolar, and the spectral idempotent can be written down case by
-case from the unit/radical pattern of the diagonal.  E carries 1 on the
-diagonal exactly where A's diagonal entry is radical, plus off-diagonal
-entries at (2,1) and (2,3) where the pattern changes, determined by the
-commutation equations
+so e_ij = 0 when d_i = d_j, and otherwise e_ij = (a_ii - a_jj)^-1 * ±a_ij
+with a unit pivot, since a_ii and a_jj straddle the unit/radical split.
+This one formula is exact on these seven shapes because no off-diagonal
+mask position (i,j) has a middle index k with (i,k) and (k,j) both on
+the mask, so (E*A - A*E)_ij and (E*E - E)_ij involve only i and j.
+TN(n) for n >= 3 has such middles and has no engine here.
 
-    a22*e21 - e21*a11 = (d2 - d1)*a21
-    a22*e23 - e23*a33 = (d2 - d3)*a23
-
-with d_i the 0/1 diagonal of E.  Each equation only arises when its two
-diagonal entries straddle the unit/radical split, so the solver's pivot
-is a unit.  The eight patterns, in a fixed order:
+For T3 = [a11 0 0; a21 a22 a23; 0 0 a33] the formula gives eight
+patterns, numbered in a fixed order:
 
     case  (a11,a22,a33)   E
     1     (J, J, J)       identity
@@ -30,9 +32,7 @@ is a unit.  The eight patterns, in a fixed order:
 The same E is simultaneously a rad-clean idempotent (A - E is a unit and
 E*A*E is radical in the corner) and the quasipolar idempotent of A
 itself (A + E is a unit too, since both a_ii + 1 and a_ii - 1 are units
-when a_ii is radical).  T2 is handled through its corner embedding in
-T3, and the remaining 3x3 shapes transport through the isomorphisms in
-:mod:`qpolar.matrices`.
+when a_ii is radical).  The witnesses check every identity they claim.
 """
 
 from __future__ import annotations
@@ -42,25 +42,16 @@ from dataclasses import dataclass
 from .commutant import solve_commutant
 from .m2 import quasipolar_witness_m2
 from .matrices import (
-    ISO_LOW3_TO_T3,
-    ISO_T3_TO_LOW3,
-    ISO_UP3_TO_T3,
     L3,
     LOW3,
     M2,
     S1,
     S2,
-    SPLIT_L3,
-    SPLIT_S1,
-    SPLIT_S2,
     T2,
     T3,
     UP3,
     ShapedMatrix,
     UnsupportedShape,
-    corner_embed_t2,
-    corner_extract_t2,
-    corner_projector,
 )
 from .rings import RingElement, TruncatedSeriesRing
 from .series import quasipolar_witness_m2_series
@@ -68,7 +59,6 @@ from .witnesses import (
     Comm2Evidence,
     QuasipolarWitness,
     RadCleanWitness,
-    WitnessInvalid,
     build_quasipolar,
     require_valid,
 )
@@ -108,52 +98,28 @@ def classify_case(a: ShapedMatrix) -> CaseTag:
     return CaseTag(_CASE_OF_PATTERN[pattern], pattern)
 
 
+def _spectral_idempotent(a: ShapedMatrix) -> ShapedMatrix:
+    """E from A's diagonal pattern, one mask position at a time (see above)."""
+    ring, n, rows = a.ring, a.shape.n, a.rows
+    zero = ring.zero
+    d = [rows[i][i].in_jacobson() for i in range(n)]
+    grid = [[zero] * n for _ in range(n)]
+    for (i, j) in a.shape.mask:
+        if i == j:
+            grid[i][i] = ring.one if d[i] else zero
+        elif d[i] != d[j]:
+            grid[i][j] = solve_commutant(rows[i][i], rows[j][j], rows[i][j] if d[i] else -rows[i][j])
+    return ShapedMatrix(ring, a.shape, tuple(map(tuple, grid)))
+
+
 def spectral_idempotent_t3(a: ShapedMatrix) -> ShapedMatrix:
-    """The case-table idempotent E for a T3 matrix.
-
-    Postconditions are re-checked on the way out: E*E = E, E*A = A*E,
-    A - E a unit of T3, and A*E in the radical of T3; a failure raises
-    WitnessInvalid.
-    """
+    """The idempotent E of a T3 matrix, as tabulated by case above."""
     _require_shape(a, T3)
-    ring = a.ring
-    zero, one = ring.zero, ring.one
-    d = [1 if x.in_jacobson() else 0 for x in a.diagonal()]
-    a11, a22, a33 = a.diagonal()
-    a21, a23 = a.rows[1][0], a.rows[1][2]
-
-    e21 = zero
-    if d[0] != d[1]:
-        rhs = a21 if d[1] > d[0] else -a21
-        e21 = solve_commutant(a22, a11, rhs)
-    e23 = zero
-    if d[1] != d[2]:
-        rhs = a23 if d[1] > d[2] else -a23
-        e23 = solve_commutant(a22, a33, rhs)
-
-    dd = [one if x else zero for x in d]
-    e = ShapedMatrix(
-        ring,
-        T3,
-        (
-            (dd[0], zero, zero),
-            (e21, dd[1], e23),
-            (zero, zero, dd[2]),
-        ),
-    )
-    if e * e != e:
-        raise WitnessInvalid(f"case-table E is not idempotent for {a!r}")
-    if e * a != a * e:
-        raise WitnessInvalid(f"case-table E does not commute with {a!r}")
-    if not (a - e).is_unit():
-        raise WitnessInvalid(f"A - E is not a unit for {a!r}")
-    if not (a * e).in_jacobson():
-        raise WitnessInvalid(f"A*E is not radical for {a!r}")
-    return e
+    return _spectral_idempotent(a)
 
 
 def quasipolar_witness_t3(a: ShapedMatrix, view=None) -> QuasipolarWitness:
-    """Quasipolar decomposition of a T3 matrix via the case table.
+    """Quasipolar decomposition of a T3 matrix.
 
     Passing a finite oracle view upgrades the double-commutant evidence
     to an exhaustive check over every element commuting with A.
@@ -176,19 +142,9 @@ def rad_clean_witness_t3(a: ShapedMatrix, e: ShapedMatrix | None = None) -> RadC
 
 
 def quasipolar_witness_t2(a: ShapedMatrix, view=None) -> QuasipolarWitness:
-    """Quasipolar decomposition of an upper triangular 2x2 matrix.
-
-    T2 sits inside T3 as the diag(1,1,0) corner, so the matrix is pushed
-    through the embedding, decomposed there, and the idempotent is cut
-    back out of the corner.
-    """
-    return _finish_witness(a, _t2_idempotent(a), view)
-
-
-def _t2_idempotent(a: ShapedMatrix) -> ShapedMatrix:
+    """Quasipolar decomposition of an upper triangular 2x2 matrix."""
     _require_shape(a, T2)
-    proj = corner_projector(a.ring)
-    return corner_extract_t2(proj * spectral_idempotent_t3(corner_embed_t2(a)) * proj)
+    return _finish_witness(a, _spectral_idempotent(a), view)
 
 
 def scalar_quasipolar(x: RingElement):
@@ -199,19 +155,17 @@ def scalar_quasipolar(x: RingElement):
     return ring.one, x + ring.one, x
 
 
-_SPLITS = {L3: SPLIT_L3, S1: SPLIT_S1, S2: SPLIT_S2}
+_PATTERN_SHAPES = (L3, LOW3, UP3, S1, S2)
 
 
 def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
     """Quasipolar decomposition for any shape with a constructive engine.
 
     This is the one dispatch from a matrix's ring and shape to its
-    engine.  T3 and T2 go straight to the case table; M2 goes to the
-    trace/determinant trichotomy, gated on the constant term over a
-    series ring.  L3, S1 and S2 split as T2 x R; LOW3 and UP3 relabel
-    onto T3 (UP3 via the product-reversing map, which transports
-    witnesses all the same because p commutes with A).  Raises NotQuasipolarError for an
-    obstructed M2 matrix.
+    engine.  T2, T3, L3, LOW3, UP3, S1 and S2 take the diagonal-pattern
+    idempotent; M2 goes to the trace/determinant trichotomy, gated on
+    the constant term over a series ring.  Raises NotQuasipolarError for
+    an obstructed M2 matrix.
     """
     shape = a.shape
     if shape == T3:
@@ -222,22 +176,12 @@ def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
         if isinstance(a.ring, TruncatedSeriesRing):
             return quasipolar_witness_m2_series(a, view=view)
         return quasipolar_witness_m2(a, view=view)
-    if shape in _SPLITS:
-        split = _SPLITS[shape]
-        t2_part, scalar_part = split.apply(a)
-        p = split.build_source(_t2_idempotent(t2_part), scalar_quasipolar(scalar_part)[0])
-    elif shape == LOW3:
-        b = ISO_LOW3_TO_T3.apply(a)
-        p = ISO_T3_TO_LOW3.apply(spectral_idempotent_t3(b))
-    elif shape == UP3:
-        b = ISO_UP3_TO_T3.apply(a)
-        p = ISO_UP3_TO_T3.inverse().apply(spectral_idempotent_t3(b))
-    else:
+    if shape not in _PATTERN_SHAPES:
         raise UnsupportedShape(
             f"no constructive decomposition for shape {shape.name}; "
             "supported: T2, T3, L3, LOW3, UP3, S1, S2, M2"
         )
-    return _finish_witness(a, p, view)
+    return _finish_witness(a, _spectral_idempotent(a), view)
 
 
 def _finish_witness(a: ShapedMatrix, p: ShapedMatrix, view) -> QuasipolarWitness:

@@ -24,8 +24,9 @@ class Comm2Evidence(Enum):
     """How double-commutant membership of the idempotent is known.
 
     FINITE_EXHAUSTIVE: checked against every commuting element of a
-    finite carrier.  CASE_CONSTRUCTION: the idempotent was built by the
-    triangular case table, whose defining equations force it to commute
+    finite carrier.  CASE_CONSTRUCTION (printed ``case-construction``):
+    the idempotent was built from the diagonal unit/radical pattern by
+    the triangular engine, whose defining equations force it to commute
     with the full commutant.  POLYNOMIAL_IN_A: the idempotent is a
     polynomial in A, so anything commuting with A commutes with it.
     """

@@ -1,4 +1,4 @@
-"""Constructive engines for triangular and transported shapes."""
+"""Constructive engines for the triangular-type shapes, and the one dispatch."""
 
 import pytest
 
@@ -240,3 +240,21 @@ class TestTransportedShapes:
         assert w.a is a and w.report.passed
         if engine is not None:
             assert w == engine(a)
+
+
+@pytest.mark.parametrize(
+    "ring,shape",
+    [("F3", s) for s in (T2, T3, L3, LOW3, UP3, S1, S2)]
+    + [("Z2^2", s) for s in (T2, L3, S1, S2)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_engine_idempotent_is_the_unique_one_the_oracle_finds(ring, shape):
+    # Every matrix of the shape: the definitional search finds exactly
+    # one quasipolar idempotent, and it is the one the engine builds.
+    view = get_view(parse_ring(ring), shape)
+    misses = []
+    for key in view.keys:
+        p = quasipolar_witness_shape(view.value_of(key)).p
+        if view.quasipolar_search_keys(key) != (view.key_of(p),):
+            misses.append(repr(view.value_of(key)))
+    assert misses == []

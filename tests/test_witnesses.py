@@ -21,6 +21,10 @@ from qpolar import (
     RadCleanWitness,
     TruncatedSeriesRing,
     WitnessInvalid,
+    parse_matrix,
+    parse_ring,
+    parse_shape,
+    quasipolar_witness_shape,
     quasipolar_witness_t3,
     rad_clean_witness_t3,
     require_valid,
@@ -161,3 +165,31 @@ class TestCostPins:
         qp_checks, _ = _count_checks(monkeypatch)
         _run(capsys, [*verb, "--ring", "series(Z2^2,8)", "--matrix", "[1,0; 0,2]"])
         assert (lifts[0], base_splits[0], qp_checks[0]) == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "shape,matrix",
+        [
+            ("T2", "[2,1; 0,1]"),
+            ("T3", "[1,0,0; 1,2,1; 0,0,3]"),
+            ("L3", "[1,0,0; 0,2,0; 3,0,2]"),
+            ("LOW3", "[2,0,0; 0,1,0; 1,3,2]"),
+            ("UP3", "[1,0,2; 0,2,1; 0,0,3]"),
+            ("S1", "[2,0,1; 0,3,0; 0,0,1]"),
+            ("S2", "[1,0,0; 0,2,0; 0,3,1]"),
+        ],
+    )
+    def test_building_the_idempotent_makes_no_products(self, monkeypatch, shape, matrix):
+        # Products counted up to the moment the idempotent is handed to
+        # the witness builder; every matrix here has an off-diagonal solve.
+        a = parse_matrix(parse_ring("Z2^2"), parse_shape(shape), matrix)
+        products = _count(monkeypatch, ShapedMatrix, "__mul__")
+        seen = []
+        build = triangular.build_quasipolar
+
+        def counted_build(a, p, *rest):
+            seen.append(products[0])
+            return build(a, p, *rest)
+
+        monkeypatch.setattr(triangular, "build_quasipolar", counted_build)
+        quasipolar_witness_shape(a)
+        assert seen == [0]

@@ -199,9 +199,6 @@ class ShapedMatrix:
             ),
         )
 
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.rows[i][j]
-
     def diagonal(self):
         return tuple(self.rows[i][i] for i in range(self.shape.n))
 
@@ -348,11 +345,10 @@ def parse_matrix(ring: LocalRing, shape: Shape, text: str) -> ShapedMatrix:
 
 @dataclass
 class QuadraticCharPoly:
-    """t^2 - tr*t + det for a 2x2 matrix, with an optional root pair."""
+    """t^2 - tr*t + det for a 2x2 matrix."""
 
     tr: RingElement
     det: RingElement
-    roots: tuple | None = None
 
     def evaluate(self, t: RingElement) -> RingElement:
         return t * t - self.tr * t + self.det

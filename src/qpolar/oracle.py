@@ -7,6 +7,12 @@ commuting x, radicals by the quasi-regularity test.  None of it consults
 the constructive engines or the shape-specific unit rules; that
 independence is what makes it usable as ground truth for them.
 
+Units, radical and quasinilpotence are defined once, on the corner ring
+e*R*e (:class:`_Corner`).  The whole ring is the corner at the identity,
+so a view's own units, radical and quasinilpotence test are reads of that
+one corner, and the Peirce-corner check uses the same code on e*R*e and
+(1-e)*R*(1-e).
+
 A :class:`FiniteRingView` is built once per (ring, shape) pair; it
 tabulates scalar arithmetic and represents each matrix as a tuple of
 scalar indices over the shape's mask, which keeps the big sweeps inside
@@ -44,25 +50,21 @@ def _straight_line(npos: int, slots: list, tables: dict):
 
 
 class _Corner:
-    """Carrier, units, and radical of a corner ring e*R*e, identity e."""
+    """The corner ring e*R*e with identity e: its carrier, units, radical and
+    quasinilpotence test.  The whole ring is the corner at the identity."""
 
     __slots__ = ("identity", "carrier", "units", "_jacobson", "_view")
 
-    def __init__(self, view: FiniteRingView, e_key):
+    def __init__(self, view: FiniteRingView, e_key, carrier: tuple):
         self._view = view
         self.identity = e_key
-        mul = view._mul
-        seen = {}
-        for k in view.keys:
-            c = mul(mul(e_key, k), e_key)
-            if c not in seen:
-                seen[c] = None
-        self.carrier = tuple(seen)
+        self.carrier = carrier
         # Two-sided inverse scan within the corner.
+        mul = view._mul
         rights = set()
         lefts = set()
-        for a in self.carrier:
-            for b in self.carrier:
+        for a in carrier:
+            for b in carrier:
                 if mul(a, b) == e_key:
                     rights.add(a)
                     lefts.add(b)
@@ -83,6 +85,13 @@ class _Corner:
                     out.append(x)
             self._jacobson = frozenset(out)
         return self._jacobson
+
+    def is_qnil(self, a, commuting) -> bool:
+        """a is quasinilpotent here: e + a*x is a corner unit for every x in
+        ``commuting``, the corner elements that commute with a."""
+        mul, add = self._view._mul, self._view._add
+        e_key, units = self.identity, self.units
+        return all(add(e_key, mul(a, x)) in units for x in commuting)
 
 
 class FiniteRingView:
@@ -134,17 +143,14 @@ class FiniteRingView:
         self._add_k = _straight_line(npos, [f"A[a{i}][b{i}]" for i in slots], tables)
         self._sub_k = _straight_line(npos, [f"A[a{i}][N[b{i}]]" for i in slots], tables)
 
-        self.keys = [tuple(k) for k in product(range(ns), repeat=npos)]
+        self.keys = tuple(product(range(ns), repeat=npos))
         z, o = self._zero_s, self._one_s
         self.zero_key = tuple(z for _ in range(npos))
         self.one_key = tuple(o if i in diag else z for i in range(npos))
 
         self._comm_cache: dict = {}
         self._qnil_cache: dict = {}
-        self._units: frozenset | None = None
-        self._inverse_map: dict = {}
         self._idempotents: tuple | None = None
-        self._jacobson: frozenset | None = None
         self._corners: dict = {}
 
     # -- key arithmetic ----------------------------------------------------
@@ -187,24 +193,13 @@ class FiniteRingView:
 
     @property
     def units(self) -> frozenset:
-        if self._units is None:
-            mul = self._mul
-            one = self.one_key
-            rights = {}
-            lefts = set()
-            for a in self.keys:
-                for b in self.keys:
-                    if mul(a, b) == one:
-                        rights.setdefault(a, b)
-                        lefts.add(b)
-            units = frozenset(set(rights) & lefts)
-            self._units = units
-            self._inverse_map = {a: rights[a] for a in units}
-        return self._units
+        return self._corner(self.one_key).units
 
     def inverse_key(self, key):
-        self.units
-        return self._inverse_map.get(key)
+        if key not in self.units:
+            return None
+        mul, one = self._mul, self.one_key
+        return next(b for b in self.keys if mul(key, b) == one)
 
     @property
     def idempotent_keys(self) -> tuple:
@@ -215,16 +210,7 @@ class FiniteRingView:
 
     @property
     def jacobson_keys(self) -> frozenset:
-        if self._jacobson is None:
-            mul, sub = self._mul, self._sub
-            one = self.one_key
-            units = self.units
-            self._jacobson = frozenset(
-                x
-                for x in self.keys
-                if all(sub(one, mul(x, y)) in units for y in self.keys)
-            )
-        return self._jacobson
+        return self._corner(self.one_key).jacobson
 
     # -- key-level queries (cached) --------------------------------------------
 
@@ -250,10 +236,7 @@ class FiniteRingView:
     def is_qnil_key(self, a) -> bool:
         got = self._qnil_cache.get(a)
         if got is None:
-            mul, add = self._mul, self._add
-            one = self.one_key
-            units = self.units
-            got = all(add(one, mul(a, x)) in units for x in self.commutant_keys(a))
+            got = self._corner(self.one_key).is_qnil(a, self.commutant_keys(a))
             self._qnil_cache[a] = got
         return got
 
@@ -291,7 +274,12 @@ class FiniteRingView:
     def _corner(self, e_key) -> _Corner:
         got = self._corners.get(e_key)
         if got is None:
-            got = self._corners[e_key] = _Corner(self, e_key)
+            if e_key == self.one_key:
+                carrier = self.keys  # 1*k*1 = k: no products needed
+            else:
+                mul = self._mul
+                carrier = tuple(dict.fromkeys(mul(mul(e_key, k), e_key) for k in self.keys))
+            got = self._corners[e_key] = _Corner(self, e_key, carrier)
         return got
 
     def corner_validate_key(self, a, e) -> bool:
@@ -301,20 +289,13 @@ class FiniteRingView:
         if mul(e, a) != mul(a, e):
             raise QpolarError("corner_validate needs e commuting with a")
         f = sub(self.one_key, e)
-        ae = mul(a, e)
-        corner_e = self._corner(e)
-        if ae not in corner_e.units:
+        if mul(a, e) not in self._corner(e).units:
             return False
         af = mul(a, f)
         corner_f = self._corner(f)
-        f_units = corner_f.units
-        add = self._add
-        for x in corner_f.carrier:
-            if mul(x, af) != mul(af, x):
-                continue
-            if add(f, mul(af, x)) not in f_units:
-                return False
-        return True
+        return corner_f.is_qnil(
+            af, (x for x in corner_f.carrier if mul(x, af) == mul(af, x))
+        )
 
 
 # -- public wrappers over matrices and ring elements ---------------------------

@@ -73,10 +73,6 @@ class SeriesQuadratic:
     def ring(self) -> TruncatedSeriesRing:
         return self.mu.ring
 
-    @property
-    def precision(self) -> int:
-        return self.ring.precision
-
     def holds_for(self, y: RingElement) -> bool:
         return y * y - self.mu * y - self.lam == self.ring.zero
 

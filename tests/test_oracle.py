@@ -35,6 +35,7 @@ from qpolar import (
     quasipolar_search,
     rad_clean_search,
     t3_case_sweep,
+    t3_rad_clean_sweep,
 )
 from qpolar import oracle
 from qpolar.matrices import Shape, ShapedMatrix
@@ -332,3 +333,113 @@ class TestGeneratedKernels:
         report = t3_case_sweep(PrimeField(3))
         assert not report.failures
         assert len(calls) == 137_700
+
+
+# The view's own scans and the inline corner loop that the whole-ring
+# corner replaced, kept as the reference it must agree with.
+
+
+def loop_units(view):
+    """Units and each unit's first right inverse, by the full N^2 scan."""
+    mul, one = view._mul, view.one_key
+    rights, lefts = {}, set()
+    for a in view.keys:
+        for b in view.keys:
+            if mul(a, b) == one:
+                rights.setdefault(a, b)
+                lefts.add(b)
+    units = set(rights) & lefts
+    return frozenset(units), {a: rights[a] for a in units}
+
+
+def loop_jacobson(view, units):
+    mul, sub, one = view._mul, view._sub, view.one_key
+    return frozenset(
+        x for x in view.keys if all(sub(one, mul(x, y)) in units for y in view.keys)
+    )
+
+
+def loop_is_qnil(view, a, units):
+    mul, add, one = view._mul, view._add, view.one_key
+    return all(add(one, mul(a, x)) in units for x in view.commutant_keys(a))
+
+
+def loop_corner(view, e):
+    """Carrier of e*R*e through products, and its units by the two-sided scan."""
+    mul = view._mul
+    seen = {}
+    for k in view.keys:
+        seen.setdefault(mul(mul(e, k), e))
+    carrier = tuple(seen)
+    rights, lefts = set(), set()
+    for a in carrier:
+        for b in carrier:
+            if mul(a, b) == e:
+                rights.add(a)
+                lefts.add(b)
+    return carrier, rights & lefts
+
+
+def loop_corner_validate(view, a, e):
+    mul, add = view._mul, view._add
+    f = view._sub(view.one_key, e)
+    if mul(a, e) not in loop_corner(view, e)[1]:
+        return False
+    af = mul(a, f)
+    carrier, f_units = loop_corner(view, f)
+    for x in carrier:
+        if mul(x, af) != mul(af, x):
+            continue
+        if add(f, mul(af, x)) not in f_units:
+            return False
+    return True
+
+
+class TestWholeRingCorner:
+    @pytest.mark.parametrize(
+        "case",
+        [(s, "F2") for s in KERNEL_SHAPES] + [(None, "Z8"), (M2, "Z4")],
+        ids=lambda c: f"{c[0].name if c[0] else 'scalar'}-{c[1]}",
+    )
+    def test_equal_to_the_view_scans_on_every_key(self, f2, z4, z8, case):
+        # Every matrix shape over F2; the scalar view over Z/8; M2 over Z2^2.
+        shape, name = case
+        ring = {"F2": f2, "Z4": z4, "Z8": z8}[name]
+        view = FiniteRingView(ring, shape)
+        units, inverses = loop_units(view)
+        assert view.units == units
+        assert view.jacobson_keys == loop_jacobson(view, units)
+        for k in view.keys:
+            assert view.inverse_key(k) == inverses.get(k)
+            assert view.is_qnil_key(k) == loop_is_qnil(view, k, units)
+        carrier = view._corner(view.one_key).carrier
+        assert carrier == loop_corner(view, view.one_key)[0]
+
+    @pytest.mark.parametrize("shape", (M2, T3), ids=lambda s: s.name)
+    def test_corner_validate_equal_to_the_inline_loop(self, f2, shape):
+        view = FiniteRingView(f2, shape)
+        pairs = 0
+        for k in view.keys:
+            for e in view.idempotent_keys:
+                if view.in_double_commutant(e, k):
+                    assert view.corner_validate_key(k, e) == loop_corner_validate(view, k, e)
+                    pairs += 1
+        assert pairs > len(view.keys)
+
+    def test_t3_rad_clean_sweep_over_f3_costs_103595_key_products(self, monkeypatch):
+        # The unit scan runs once per view, shared by units, the radical
+        # and every qnil test through the corner at one.
+        monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
+        calls = []
+        mul = FiniteRingView._mul
+
+        def counted(self, a, b):
+            calls.append(None)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(FiniteRingView, "_mul", counted)
+        report = t3_rad_clean_sweep(PrimeField(3))
+        assert not report.failures
+        assert len(calls) == 103_595
+        view = get_view(PrimeField(3), T3)
+        assert view.units is view._corner(view.one_key).units

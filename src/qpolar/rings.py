@@ -18,19 +18,23 @@ residue in [0, p^k), a reduced ``fractions.Fraction``, or a tuple of m
 base-ring coefficients.  All arithmetic is exact; nothing here floats.
 Each ring builds its ``zero`` and ``one`` once, when it is constructed.
 
-Series arithmetic adds and multiplies raw coefficients: the base ring's
-``raw(a)`` gives the value to compute with and ``cook(x)`` turns a sum
-or product of such values back into a canonical element.  ``F<p>`` and
-``Z<p>^<k>`` compute with ``int`` residues and cook reduces modulo p^k;
-``Zloc<p>`` computes with ``Fraction``s and cook keeps the payload one
-(p-local fractions are closed under + and *); for a series base both
-hooks are the identity, so a series over a series convolves whole
-elements through the same code.  Series payloads stay tuples of
-base-ring elements.
+Kernels compute on raw values: ``raw(a)`` gives the value to compute
+with and ``cook(x)`` turns a sum, difference or product of such values
+back into a canonical element, once per result.  ``F<p>`` and
+``Z<p>^<k>`` compute with ``int`` residues and cook reduces modulo p^k.
+``Zloc<p>`` computes with the ``int`` numerator when a value is
+integral and with its ``Fraction`` otherwise (the two mix exactly under
++ and *, and p-local fractions are closed under both); cook makes the
+result a ``Fraction`` again.  A series' raw value is the list of its
+coefficients' raw values, with truncated +, - and *, so series
+arithmetic, a series over a series and a matrix entry's sum of
+products all cook each coefficient once.  Series payloads stay tuples
+of base-ring elements.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -213,7 +217,7 @@ class LocalRing:
         raise NotImplementedError
 
     def raw(self, a: RingElement):
-        """The value series arithmetic computes with in place of a."""
+        """The value kernels compute with in place of a."""
         return a.payload
 
     def cook(self, x) -> RingElement:
@@ -371,6 +375,10 @@ class LocalizedIntegers(LocalRing):
     def neg(self, a):
         return RingElement(self, -a.payload)
 
+    def raw(self, a):
+        x = a.payload
+        return x.numerator if x.denominator == 1 else x
+
     def cook(self, x):
         return RingElement(self, x if type(x) is Fraction else Fraction(x))
 
@@ -403,6 +411,41 @@ class LocalizedIntegers(LocalRing):
 
     def __repr__(self):
         return f"Zloc{self.p}"
+
+
+class _RawSeries(list):
+    """A series' raw coefficients (base ``raw`` values), constant term first.
+
+    ``+``, ``-`` and ``*`` take operands of one length and truncate there.
+    It is false when every coefficient is, so zero skips work when nested.
+    """
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return any(self)
+
+    def __add__(self, other):
+        return _RawSeries(map(operator.add, self, other))
+
+    def __sub__(self, other):
+        return _RawSeries(map(operator.sub, self, other))
+
+    def __neg__(self):
+        return _RawSeries(map(operator.neg, self))
+
+    def __mul__(self, other):
+        m = len(self)
+        out = [self[0] - self[0]] * m  # the base's raw zero, of its raw type
+        ys = [(j, y) for j, y in enumerate(other) if y]
+        for i, x in enumerate(self):
+            if not x:
+                continue
+            for j, y in ys:
+                if i + j >= m:
+                    break
+                out[i + j] = out[i + j] + x * y
+        return _RawSeries(out)
 
 
 class TruncatedSeriesRing(LocalRing):
@@ -476,37 +519,21 @@ class TruncatedSeriesRing(LocalRing):
                 coeffs[power] = coeffs[power] + c
         return RingElement(self, tuple(coeffs))
 
-    # A series over a series gets whole elements from raw/cook, which
-    # return their argument; every other base gets its payloads.
     def raw(self, a):
-        return a
+        return _RawSeries(map(self.base.raw, a.payload))
 
     def cook(self, x):
-        return x
+        cook, zero = self.base.cook, self.base.zero
+        return RingElement(self, tuple([cook(c) if c else zero for c in x]))
 
     def add(self, a, b):
-        raw, cook = self.base.raw, self.base.cook
-        return RingElement(
-            self, tuple([cook(raw(x) + raw(y)) for x, y in zip(a.payload, b.payload)])
-        )
+        return self.cook(self.raw(a) + self.raw(b))
 
     def mul(self, a, b):
-        base, m = self.base, self.precision
-        raw = base.raw
-        out = [raw(base.zero)] * m
-        ys = [(j, y) for j, y in enumerate(map(raw, b.payload)) if y]
-        for i, x in enumerate(map(raw, a.payload)):
-            if not x:
-                continue
-            for j, y in ys:
-                if i + j >= m:
-                    break
-                out[i + j] = out[i + j] + x * y
-        return RingElement(self, tuple(map(base.cook, out)))
+        return self.cook(self.raw(a) * self.raw(b))
 
     def neg(self, a):
-        raw, cook = self.base.raw, self.base.cook
-        return RingElement(self, tuple([cook(-raw(c)) for c in a.payload]))
+        return self.cook(-self.raw(a))
 
     def is_unit(self, a):
         return a.payload[0].is_unit()
@@ -517,16 +544,12 @@ class TruncatedSeriesRing(LocalRing):
             raise NotAUnit(f"{a!r} is not a unit in {self}")
         base = self.base
         raw, cook = base.raw, base.cook
-        xs = [raw(c) for c in a.payload]
+        xs, zero = self.raw(a), raw(base.zero)
         out = [base.inverse(a.payload[0])]
         bs = [raw(out[0])]
-        c0, zero = bs[0], raw(base.zero)
         for i in range(1, self.precision):
-            s = zero
-            for k in range(1, i + 1):
-                if xs[k]:
-                    s = s + xs[k] * bs[i - k]
-            out.append(cook(-(c0 * s)))
+            s = sum((xs[k] * bs[i - k] for k in range(1, i + 1) if xs[k]), zero)
+            out.append(cook(-(bs[0] * s)))
             bs.append(raw(out[-1]))
         return RingElement(self, tuple(out))
 
@@ -573,6 +596,12 @@ class TruncatedSeriesRing(LocalRing):
         return f"series({self.base},{self.precision})"
 
 
+# The largest precision parse_ring accepts: zero and one are m-tuples and
+# a dense product costs m^2 coefficient products, so a larger m would
+# spend its memory and time before any check could fail.
+MAX_SERIES_PRECISION = 4096
+
+
 def parse_ring(text: str) -> LocalRing:
     """Parse a ring spelling: F<p>, Z<p>^<k>, Zloc<p>, series(<ring>,<m>)."""
     s = text.strip()
@@ -601,6 +630,8 @@ def parse_ring(text: str) -> LocalRing:
             raise RingParseError(f"bad precision in {text!r}") from None
         if m < 1:
             raise RingParseError(f"precision must be positive in {text!r}")
+        if m > MAX_SERIES_PRECISION:
+            raise RingParseError(f"precision {m} exceeds the cap {MAX_SERIES_PRECISION} in {text!r}")
         return TruncatedSeriesRing(base, m)
     if s.startswith("Zloc"):
         try:

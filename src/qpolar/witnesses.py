@@ -96,13 +96,14 @@ class QuasipolarWitness:
 
     def checks(self) -> CheckReport:
         a, p, u, q = self.a, self.p, self.u, self.q
+        ap = a * p
         return CheckReport(
             [
                 ("p_idempotent", p * p == p),
-                ("p_commutes_with_a", p * a == a * p),
+                ("p_commutes_with_a", p * a == ap),
                 ("u_equals_a_plus_p", u == a + p),
                 ("u_unit", u.is_unit()),
-                ("q_equals_a_times_p", q == a * p),
+                ("q_equals_a_times_p", q == ap),
                 ("q_quasinilpotent_certificate", _radical_certificate(q)),
             ]
         )
@@ -134,13 +135,14 @@ class RadCleanWitness:
 
     def checks(self) -> CheckReport:
         a, e, v, cj = self.a, self.e, self.v, self.corner_j
+        ea = e * a
         return CheckReport(
             [
                 ("e_idempotent", e * e == e),
-                ("e_commutes_with_a", e * a == a * e),
+                ("e_commutes_with_a", ea == a * e),
                 ("v_equals_a_minus_e", v == a - e),
                 ("v_unit", v.is_unit()),
-                ("corner_j_equals_eae", cj == e * a * e),
+                ("corner_j_equals_eae", cj == ea * e),
                 ("corner_j_radical_diagonal", all(d.in_jacobson() for d in cj.diagonal())),
             ]
         )

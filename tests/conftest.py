@@ -46,16 +46,21 @@ def random_matrix(rng: random.Random, ring, shape) -> ShapedMatrix:
     return ShapedMatrix.from_rows(ring, shape, rows)
 
 
-def random_element(rng, ring):
-    """About a third of the coefficients zero, so the zero skips run too."""
+def random_element(rng, ring, integral=False):
+    """About a third of the coefficients zero, so the zero skips run too.
+
+    Zloc values are integers when ``integral`` is set and fractions, an
+    integer about one time in six, otherwise.
+    """
     if isinstance(ring, TruncatedSeriesRing):
         coeffs = [
-            ring.base.zero if rng.random() < 0.3 else random_element(rng, ring.base)
+            ring.base.zero if rng.random() < 0.3 else random_element(rng, ring.base, integral)
             for _ in range(ring.precision)
         ]
         return ring.element(coeffs)
     if isinstance(ring, LocalizedIntegers):
-        return ring.element(Fraction(rng.randint(-40, 40), rng.choice([1, 3, 5, 7, 9, 15])))
+        den = 1 if integral else rng.choice([1, 3, 5, 7, 9, 15])
+        return ring.element(Fraction(rng.randint(-40, 40), den))
     return ring.element(rng.randrange(ring.cardinality()))
 
 

@@ -12,6 +12,7 @@ import pytest
 import qpolar.cli as cli
 from qpolar import Comm2Evidence, QuasipolarWitness, TruncatedSeriesRing, matrix_from_json
 from qpolar.cli import main
+from qpolar.rings import MAX_SERIES_PRECISION, parse_ring
 
 T3_ARGS = [
     "decompose",
@@ -147,6 +148,15 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "exceeds" in capsys.readouterr().err
+
+    def test_absurd_series_precision_is_refused_fast(self, capsys):
+        start = time.perf_counter()
+        code = main(["lift", "--ring", "series(F2,100000000)", "--matrix", "[1,0; 0,0]"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert str(MAX_SERIES_PRECISION) in capsys.readouterr().err
+        ring = parse_ring(f"series(F2,{MAX_SERIES_PRECISION})")
+        assert ring.precision == MAX_SERIES_PRECISION == 4096
 
     def test_lift_requires_a_series_ring(self, capsys):
         code, _ = run(

@@ -13,6 +13,7 @@ from qpolar import (
     MatrixParseError,
     ShapedMatrix,
     ShapeMismatch,
+    TruncatedSeriesRing,
     UnsupportedShape,
     char_poly_2x2,
     get_view,
@@ -155,8 +156,6 @@ def test_json_round_trip(z4):
 
 
 def test_json_round_trip_series(z4):
-    from qpolar import TruncatedSeriesRing
-
     ring = TruncatedSeriesRing(z4, 3)
     a = parse_matrix(ring, M2, "[3, 2 + 2*x; 2 + x, 2 + 3*x]")
     assert matrix_from_json(a.to_json()) == a
@@ -190,16 +189,32 @@ def loop_sub(a, b):
     )
 
 
-def random_shaped(rng, ring, shape):
+def check_against_loops(a, b):
+    for got, want in [
+        (a * b, loop_mul(a, b)),
+        (a + b, loop_add(a, b)),
+        (a - b, loop_sub(a, b)),
+    ]:
+        assert got == want
+        assert got.ring is a.ring and got.shape is a.shape
+        for row in got.rows:
+            for x in row:
+                assert x.ring is a.ring
+                assert_canonical(x)
+
+
+def random_shaped(rng, ring, shape, integral=False):
     """Random entries on the mask, about a fifth of them zero."""
     rows = [[ring.zero] * shape.n for _ in range(shape.n)]
     for i, j in shape.positions:
         if rng.random() >= 0.2:
-            rows[i][j] = random_element(rng, ring)
+            rows[i][j] = random_element(rng, ring, integral)
     return ShapedMatrix.from_rows(ring, shape, rows)
 
 
-KERNEL_RINGS = ["F3", "Z2^2", "Zloc2", "series(F2,3)", "series(Zloc2,4)"]
+KERNEL_RINGS = [
+    "F3", "Z2^2", "Zloc2", "series(F2,3)", "series(Zloc2,4)", "series(series(F2,2),2)"
+]
 KERNEL_SHAPES = [*SHAPES.values(), TN(4)]
 
 
@@ -210,18 +225,49 @@ class TestRawKernel:
         ring = parse_ring(spelling)
         rng = random.Random(f"{spelling}/{shape.name}")
         for _ in range(200):
-            a, b = random_shaped(rng, ring, shape), random_shaped(rng, ring, shape)
-            for got, want in [
-                (a * b, loop_mul(a, b)),
-                (a + b, loop_add(a, b)),
-                (a - b, loop_sub(a, b)),
-            ]:
-                assert got == want
-                assert got.ring is ring and got.shape is shape
-                for row in got.rows:
-                    for x in row:
-                        assert x.ring is ring
-                        assert_canonical(x)
+            check_against_loops(random_shaped(rng, ring, shape), random_shaped(rng, ring, shape))
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("spelling", ["Zloc2", "series(Zloc2,4)"])
+    def test_matches_the_element_loops_on_integral_zloc(self, spelling, shape):
+        # Integral entries compute as ints; paired with general draws they
+        # mix with Fractions inside one sum of products.
+        ring = parse_ring(spelling)
+        rng = random.Random(f"integral/{spelling}/{shape.name}")
+        for _ in range(100):
+            a = random_shaped(rng, ring, shape, integral=True)
+            check_against_loops(a, random_shaped(rng, ring, shape, integral=True))
+            b = random_shaped(rng, ring, shape)
+            check_against_loops(a, b)
+            check_against_loops(b, a)
+
+    def test_series_product_cooks_each_coefficient_once(self, monkeypatch, z4):
+        # A cost pin: an M2 product over series(Z2^2,8) sums each entry's
+        # products as raw coefficient lists and cooks the 4 entries' 8
+        # coefficients once, building no series element on the way.
+        ring = TruncatedSeriesRing(z4, 8)
+        entry = "1 + 3*x + 2*x^2 + x^3 + 3*x^4 + x^5 + 2*x^6 + 3*x^7"
+        # Raw residues are non-negative and every entry's sum has a term
+        # with all 8 coefficients positive, so no coefficient is raw zero.
+        a = parse_matrix(ring, M2, f"[{entry}, 3 + x; 1 + 2*x, {entry}]")
+        b = parse_matrix(ring, M2, f"[1 + x, 2 + x + x^2; {entry}, 3]")
+        want = loop_mul(a, b)
+        calls = {}
+        for cls, name in [
+            (TruncatedSeriesRing, "mul"),
+            (TruncatedSeriesRing, "add"),
+            (_ModularRing, "cook"),
+        ]:
+            orig = getattr(cls, name)
+
+            def counted(*args, orig=orig, key=f"{cls.__name__}.{name}"):
+                calls[key] = calls.get(key, 0) + 1
+                return orig(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+        got = a * b
+        assert calls == {"_ModularRing.cook": 32}
+        assert got == want
 
     def test_products_and_sums_make_no_wrapped_scalar_ops(self, monkeypatch, z4):
         # A cost pin: the kernel sums raw residues and reduces once per

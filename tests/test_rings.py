@@ -301,6 +301,19 @@ class TestSeriesKernel:
         for _ in range(200):
             check_against_loops(ring, random_element(rng, ring), random_element(rng, ring))
 
+    @pytest.mark.parametrize("spelling", ["series(Zloc2,8)", "series(series(Zloc2,2),3)"])
+    def test_matches_the_loops_on_integral_zloc_pairs(self, spelling):
+        # Integral coefficients compute as ints; paired with general draws
+        # they mix with Fractions inside one product.
+        ring = parse_ring(spelling)
+        rng = random.Random(f"integral/{spelling}")
+        for _ in range(200):
+            a = random_element(rng, ring, integral=True)
+            check_against_loops(ring, a, random_element(rng, ring, integral=True))
+            b = random_element(rng, ring)
+            check_against_loops(ring, a, b)
+            check_against_loops(ring, b, a)
+
     def test_matches_the_loops_exhaustively_over_series_f2_3(self, f2):
         ring = TruncatedSeriesRing(f2, 3)
         carrier = list(ring.elements())
@@ -311,10 +324,14 @@ class TestSeriesKernel:
         assert z4.cook(-7).payload == 1
         assert type(zloc2.cook(0).payload) is Fraction
         assert zloc2.cook(Fraction(2, 6)).payload == Fraction(1, 3)
-        assert zloc2.raw(zloc2.element(3)) == Fraction(3)
+        assert type(zloc2.raw(zloc2.element(3))) is int
+        assert zloc2.raw(zloc2.element(Fraction(2, 6))) == Fraction(1, 3)
         nested = TruncatedSeriesRing(TruncatedSeriesRing(z4, 2), 2)
         inner = nested.base.element([1, 2])
-        assert nested.base.raw(inner) is inner and nested.base.cook(inner) is inner
+        for x in (inner, nested.element([inner, 0]), zloc2.element(Fraction(3, 5))):
+            back = x.ring.cook(x.ring.raw(x))
+            assert back == x
+            assert_canonical(back)
         # Every coefficient of a Zloc series product is a Fraction, zeros too.
         ring = TruncatedSeriesRing(zloc2, 4)
         x = ring.parse("x^3")
@@ -333,6 +350,30 @@ class TestSeriesKernel:
         # instance attribute named zero would slip past it.
         for name in ("zero", "one"):
             assert type(inspect.getattr_static(TruncatedSeriesRing, name)) is property
+
+    def test_integral_zloc_series_mul_makes_no_fraction_ops(self, monkeypatch, zloc2):
+        # A cost pin: integral coefficients convolve as ints, and each
+        # result coefficient becomes a Fraction once, by construction.
+        ring = TruncatedSeriesRing(zloc2, 8)
+        a = ring.parse("1 - 3*x + 2*x^2 + 5*x^5 + 7*x^7")
+        b = ring.parse("3 + x - 6*x^3 + 2*x^4 + x^6")
+        want = loop_mul(ring, a, b)
+        calls = [0]
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            orig = getattr(Fraction, name)
+
+            def counted(self, other, orig=orig):
+                calls[0] += 1
+                return orig(self, other)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        assert loop_mul(ring, a, b) == want
+        assert calls[0] > 0  # the wrappers see the reference loop's ops
+        calls[0] = 0
+        got = a * b
+        assert calls[0] == 0
+        assert got == want
+        assert_canonical(got)
 
     def test_series_mul_makes_no_wrapped_scalar_ops(self, monkeypatch, z4):
         # A cost pin: the product convolves raw residues, so it never calls

@@ -193,3 +193,15 @@ class TestCostPins:
         monkeypatch.setattr(triangular, "build_quasipolar", counted_build)
         quasipolar_witness_shape(a)
         assert seen == [0]
+
+    def test_checks_compute_each_shared_product_once(self, monkeypatch, z4):
+        # a*p serves both the commutation and the q check, e*a both the
+        # commutation and the corner check: 3 and 4 products.
+        a = _t3(z4)
+        qp, rc = quasipolar_witness_t3(a), rad_clean_witness_t3(a)
+        products = _count(monkeypatch, ShapedMatrix, "__mul__")
+        assert qp.checks().passed
+        assert products[0] == 3
+        products[0] = 0
+        assert rc.checks().passed
+        assert products[0] == 4

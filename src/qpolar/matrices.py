@@ -234,9 +234,8 @@ class ShapedMatrix:
         return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return ShapedMatrix(
-            self.ring, self.shape, tuple(tuple(-a for a in r) for r in self.rows)
-        )
+        cook = self.ring.cook
+        return self._from_flat([cook(-x) for x in self._flat_raw()])
 
     def __mul__(self, other):
         self._check_peer(other)

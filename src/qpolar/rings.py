@@ -18,9 +18,12 @@ residue in [0, p^k), a reduced ``fractions.Fraction``, or a tuple of m
 base-ring coefficients.  All arithmetic is exact; nothing here floats.
 Each ring builds its ``zero`` and ``one`` once, when it is constructed.
 
-Kernels compute on raw values: ``raw(a)`` gives the value to compute
-with and ``cook(x)`` turns a sum, difference or product of such values
-back into a canonical element, once per result.  ``F<p>`` and
+Arithmetic is defined once, on two hooks: ``raw(a)`` gives the value to
+compute with and ``cook(x)`` turns a sum, difference or product of such
+values back into a canonical element, once per result.  The element
+operators are built on them (``a * b`` is ``cook(raw(a) * raw(b))``,
+and so for + and unary -), as are the matrix, series and lift
+kernels, which cook once per entry or coefficient.  ``F<p>`` and
 ``Z<p>^<k>`` compute with ``int`` residues and cook reduces modulo p^k.
 ``Zloc<p>`` computes with the ``int`` numerator when a value is
 integral and with its ``Fraction`` otherwise (the two mix exactly under
@@ -160,7 +163,7 @@ class RingElement:
         return hash((self.ring, self.payload))
 
     def __bool__(self):
-        return self.payload != self.ring.zero.payload
+        return bool(self.ring.raw(self))
 
     def is_unit(self) -> bool:
         return self.ring.is_unit(self)
@@ -185,13 +188,13 @@ class LocalRing:
         raise NotImplementedError
 
     def add(self, a: RingElement, b: RingElement) -> RingElement:
-        raise NotImplementedError
+        return self.cook(self.raw(a) + self.raw(b))
 
     def mul(self, a: RingElement, b: RingElement) -> RingElement:
-        raise NotImplementedError
+        return self.cook(self.raw(a) * self.raw(b))
 
     def neg(self, a: RingElement) -> RingElement:
-        raise NotImplementedError
+        return self.cook(-self.raw(a))
 
     def is_unit(self, a: RingElement) -> bool:
         raise NotImplementedError
@@ -264,15 +267,6 @@ class _ModularRing(LocalRing):
             return self.element(int(text.strip()))
         except ValueError:
             raise RingParseError(f"bad integer literal {text!r} for {self}") from None
-
-    def add(self, a, b):
-        return RingElement(self, (a.payload + b.payload) % self.modulus)
-
-    def mul(self, a, b):
-        return RingElement(self, (a.payload * b.payload) % self.modulus)
-
-    def neg(self, a):
-        return RingElement(self, (-a.payload) % self.modulus)
 
     def cook(self, x):
         return RingElement(self, x % self.modulus)
@@ -365,15 +359,6 @@ class LocalizedIntegers(LocalRing):
             return self.element(f)
         except InvalidElement as exc:
             raise RingParseError(str(exc)) from None
-
-    def add(self, a, b):
-        return RingElement(self, a.payload + b.payload)
-
-    def mul(self, a, b):
-        return RingElement(self, a.payload * b.payload)
-
-    def neg(self, a):
-        return RingElement(self, -a.payload)
 
     def raw(self, a):
         x = a.payload
@@ -525,15 +510,6 @@ class TruncatedSeriesRing(LocalRing):
     def cook(self, x):
         cook, zero = self.base.cook, self.base.zero
         return RingElement(self, tuple([cook(c) if c else zero for c in x]))
-
-    def add(self, a, b):
-        return self.cook(self.raw(a) + self.raw(b))
-
-    def mul(self, a, b):
-        return self.cook(self.raw(a) * self.raw(b))
-
-    def neg(self, a):
-        return self.cook(-self.raw(a))
 
     def is_unit(self, a):
         return a.payload[0].is_unit()

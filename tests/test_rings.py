@@ -230,6 +230,60 @@ def test_parse_ring_round_trips_repr(z4, f2, f3, z8, zloc2):
         assert parse_ring(repr(ring)) == ring
 
 
+# The per-ring payload methods that the element operators, now
+# cook(raw op raw) on every ring, replaced; kept as their reference.
+
+
+def payload_op(ring, op, *xs):
+    value = op(*(x.payload for x in xs))
+    if isinstance(ring, LocalizedIntegers):
+        return RingElement(ring, value)
+    return RingElement(ring, value % ring.modulus)
+
+
+def check_against_payload_ops(ring, a, b):
+    for got, want in [
+        (a + b, payload_op(ring, operator.add, a, b)),
+        (a * b, payload_op(ring, operator.mul, a, b)),
+        (-a, payload_op(ring, operator.neg, a)),
+        (a - b, payload_op(ring, operator.sub, a, b)),
+    ]:
+        assert got == want
+        assert_canonical(got)
+
+
+class TestElementOps:
+    @pytest.mark.parametrize("spelling", ["F3", "Z2^3"])
+    def test_match_the_payload_ops_on_every_pair(self, spelling):
+        ring = parse_ring(spelling)
+        for a, b in product(ring.elements(), repeat=2):
+            check_against_payload_ops(ring, a, b)
+
+    def test_match_the_payload_ops_on_seeded_zloc_pairs(self, zloc2):
+        # Integral values compute as ints, fractional ones as Fractions.
+        rng = random.Random("scalar/Zloc2")
+        for _ in range(200):
+            a, b = random_element(rng, zloc2, integral=True), random_element(rng, zloc2)
+            check_against_payload_ops(zloc2, a, random_element(rng, zloc2, integral=True))
+            check_against_payload_ops(zloc2, b, random_element(rng, zloc2))
+            check_against_payload_ops(zloc2, a, b)
+            check_against_payload_ops(zloc2, b, a)
+
+    @pytest.mark.parametrize("spelling", ["F2", "Z2^2", "series(series(F2,2),2)"])
+    def test_bool_is_false_exactly_at_zero_on_every_element(self, spelling):
+        ring = parse_ring(spelling)
+        for x in ring.elements():
+            assert bool(x) == (x != ring.zero)
+
+    @pytest.mark.parametrize("spelling", ["Zloc2", "series(Zloc2,4)"])
+    def test_bool_is_false_exactly_at_zero_on_seeded_draws(self, spelling):
+        ring = parse_ring(spelling)
+        rng = random.Random(f"bool/{spelling}")
+        draws = [random_element(rng, ring, integral) for integral in (True, False) * 100]
+        for x in [ring.zero, ring.element(0), ring.parse("1/3"), *draws]:
+            assert bool(x) == (x != ring.zero)
+
+
 # The RingElement loops the raw-payload series kernel replaced, kept as
 # the reference it must agree with.
 
@@ -367,8 +421,9 @@ class TestSeriesKernel:
                 return orig(self, other)
 
             monkeypatch.setattr(Fraction, name, counted)
-        assert loop_mul(ring, a, b) == want
-        assert calls[0] > 0  # the wrappers see the reference loop's ops
+        third, two_fifths = zloc2.element(Fraction(1, 3)), zloc2.element(Fraction(2, 5))
+        assert (third * two_fifths).payload == Fraction(2, 15)
+        assert calls[0] > 0  # the wrappers see fractional operands' ops
         calls[0] = 0
         got = a * b
         assert calls[0] == 0

@@ -10,12 +10,14 @@ import dataclasses
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qpolar
 from qpolar import (
+    M2,
     T3,
     QuasipolarWitness,
     RadCleanWitness,
@@ -205,3 +207,16 @@ class TestCostPins:
         products[0] = 0
         assert rc.checks().passed
         assert products[0] == 4
+
+    def test_formatting_a_zloc_series_witness_makes_no_fraction_compares(self, monkeypatch):
+        # A zero test reads the raw value, so skipping each zero
+        # coefficient while formatting compares no Fraction.
+        ring = parse_ring("series(Zloc2,8)")
+        w = quasipolar_witness_shape(parse_matrix(ring, M2, "[1 + x, 1/3*x; 2, 2 + 3*x^2]"))
+        compares = _count(monkeypatch, Fraction, "__eq__")
+        assert w.a.rows[0][1].payload[1].payload == Fraction(1, 3)
+        assert compares[0] == 1  # the wrapper sees Fraction compares
+        compares[0] = 0
+        text = repr(w)
+        assert compares[0] == 0
+        assert text.startswith("QuasipolarWitness(a=[1 + x, 1/3*x; 2, 2 + 3*x^2], p=")

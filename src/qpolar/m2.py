@@ -14,7 +14,7 @@ where the trace and determinant sit:
     is the spectral idempotent; Cayley-Hamilton gives p^2 = p and
     A*p = alpha*p, so the quasinilpotent part is alpha*p entrywise.
 
-The root hunt depends on the ring: finite rings scan the radical,
+The root hunt depends on the ring: finite rings run Newton's method,
 the p-local rationals test the discriminant for a rational square, and
 truncated series lift a root of the constant term (see
 :mod:`qpolar.series`).  Since p is a polynomial in A it lands in the
@@ -91,17 +91,18 @@ def find_root_split(chi: QuadraticCharPoly, ring: LocalRing) -> tuple:
         return lift_split(chi, ring)
     if isinstance(ring, LocalizedIntegers):
         return _zloc_root_split(chi, ring)
-    if ring.is_finite:
-        for alpha in ring.elements():
-            if not alpha.in_jacobson():
-                continue
-            if chi.evaluate(alpha) == 0:
-                beta = chi.tr - alpha
-                if not beta.is_unit():
-                    raise WitnessInvalid(f"cofactor {beta!r} of radical root {alpha!r} is not a unit")
-                return alpha, beta
-        raise NotQuasipolarError(f"{chi} has no radical root in {ring!r}")
-    raise UnsupportedShape(f"no root-split strategy for {ring!r}")
+    if not ring.is_finite:
+        raise UnsupportedShape(f"no root-split strategy for {ring!r}")
+    # Over F_p and Z/p^k the radical root always exists and is unique:
+    # chi' = 2t - tr is a unit on the radical, so Newton's method from 0
+    # stays there and doubles the power of p dividing chi(alpha) per step.
+    alpha = ring.zero
+    for _ in range(ring.cardinality().bit_length()):
+        value = chi.evaluate(alpha)
+        if not value:
+            return alpha, chi.tr - alpha
+        alpha = alpha - value / (2 * alpha - chi.tr)
+    raise WitnessInvalid(f"Newton's method found no radical root of {chi} in {ring!r}")
 
 
 def _zloc_root_split(chi: QuadraticCharPoly, ring: LocalizedIntegers) -> tuple:

@@ -122,12 +122,20 @@ def TN(n: int) -> Shape:
 SHAPES = {s.name: s for s in (T2, T3, L3, LOW3, UP3, S1, S2, M2, M3)}
 
 
+# The largest n in TN<n>: n(n+1)/2 positions and about n^3/6 product
+# terms are built before any check runs (compare MAX_SERIES_PRECISION).
+MAX_TN_SIZE = 64
+
+
 def parse_shape(name: str) -> Shape:
     key = name.strip().upper()
     if key in SHAPES:
         return SHAPES[key]
     if key.startswith("TN") and key[2:].isdigit():
-        return TN(int(key[2:]))
+        n = int(key[2:])
+        if not 1 <= n <= MAX_TN_SIZE:
+            raise MatrixParseError(f"TN size {n} is outside 1..{MAX_TN_SIZE} in {name!r}")
+        return TN(n)
     raise MatrixParseError(f"unknown shape {name!r}")
 
 

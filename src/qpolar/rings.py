@@ -33,6 +33,10 @@ coefficients' raw values, with truncated +, - and *, so series
 arithmetic, a series over a series and a matrix entry's sum of
 products all cook each coefficient once.  Series payloads stay tuples
 of base-ring elements.
+
+A ring is identified by its spelling, the text ``parse_ring`` reads
+back, so ``F2`` and ``Z2^1`` differ.  An ``int`` becomes an element
+through ``cook``, and an element prints by ``format_raw`` of its raw value.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 
 
 class QpolarError(Exception):
@@ -67,17 +70,24 @@ class RingParseError(QpolarError):
     """A ring or element literal could not be parsed."""
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality
+# exactly below MAX_PRIME (Sorenson & Webster, 2017); larger p are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d <= isqrt(n):
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    if n >= MAX_PRIME:
+        raise InvalidElement(f"primality of {n} is not decided at or above {MAX_PRIME}")
+    if n < 2 or n in _PRIME_BASES:
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    # n passes base b when b^d = 1 or b^(d * 2^r) = -1 for some r < s.
+    return not any(
+        pow(b, d, n) != 1 and all(pow(b, d << r, n) != n - 1 for r in range(s))
+        for b in _PRIME_BASES
+    )
 
 
 class RingElement:
@@ -175,14 +185,36 @@ class RingElement:
         return self.ring.inverse(self)
 
     def __repr__(self):
-        return self.ring.format_element(self)
+        return self.ring.format_raw(self.ring.raw(self))
 
 
 class LocalRing:
-    """Shared behaviour for the four ring kinds."""
+    """Shared behaviour for the four ring kinds.
+
+    A constructor sets ``spelling``, which alone decides equality, hash
+    and repr; arithmetic, coercion and text run on ``raw``/``cook``.
+    """
+
+    spelling: str
+
+    def __eq__(self, other):
+        return isinstance(other, LocalRing) and other.spelling == self.spelling
+
+    def __hash__(self):
+        return hash(self.spelling)
+
+    def __repr__(self):
+        return self.spelling
 
     def element(self, value) -> RingElement:
-        raise NotImplementedError
+        """Value as an element: a member as is, an ``int`` through cook."""
+        if isinstance(value, RingElement):
+            if not (value.ring is self or value.ring == self):
+                raise RingMismatch(f"{value!r} is not in {self}")
+            return value
+        if isinstance(value, int):
+            return self.cook(value)
+        raise InvalidElement(f"cannot build an element of {self} from {value!r}")
 
     def parse(self, text: str) -> RingElement:
         raise NotImplementedError
@@ -216,8 +248,9 @@ class LocalRing:
     def is_finite(self) -> bool:
         raise NotImplementedError
 
-    def format_element(self, a: RingElement) -> str:
-        raise NotImplementedError
+    def format_raw(self, x) -> str:
+        """The text of the element whose raw value is x."""
+        return str(x)
 
     def raw(self, a: RingElement):
         """The value kernels compute with in place of a."""
@@ -243,7 +276,7 @@ class LocalRing:
 class _ModularRing(LocalRing):
     """Common code for Z/p and Z/p^k; payload is a residue in [0, modulus)."""
 
-    def __init__(self, p: int, k: int):
+    def __init__(self, p: int, k: int, spelling: str):
         if not _is_prime(p):
             raise InvalidElement(f"{p} is not prime")
         if k < 1:
@@ -251,16 +284,8 @@ class _ModularRing(LocalRing):
         self.p = p
         self.k = k
         self.modulus = p**k
+        self.spelling = spelling
         self._build_constants()
-
-    def element(self, value) -> RingElement:
-        if isinstance(value, RingElement):
-            if not (value.ring is self or value.ring == self):
-                raise RingMismatch(f"{value!r} is not in {self}")
-            return value
-        if isinstance(value, int):
-            return RingElement(self, value % self.modulus)
-        raise InvalidElement(f"cannot build an element of {self} from {value!r}")
 
     def parse(self, text: str) -> RingElement:
         try:
@@ -290,37 +315,19 @@ class _ModularRing(LocalRing):
     def is_finite(self):
         return True
 
-    def format_element(self, a):
-        return str(a.payload)
-
 
 class PrimeField(_ModularRing):
     """The field Z/p, spelled ``F<p>``."""
 
     def __init__(self, p: int):
-        super().__init__(p, 1)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("F", self.p))
-
-    def __repr__(self):
-        return f"F{self.p}"
+        super().__init__(p, 1, f"F{p}")
 
 
 class IntegersMod(_ModularRing):
     """The local ring Z/p^k, spelled ``Z<p>^<k>``."""
 
-    def __eq__(self, other):
-        return isinstance(other, IntegersMod) and (other.p, other.k) == (self.p, self.k)
-
-    def __hash__(self):
-        return hash(("Z", self.p, self.k))
-
-    def __repr__(self):
-        return f"Z{self.p}^{self.k}"
+    def __init__(self, p: int, k: int):
+        super().__init__(p, k, f"Z{p}^{k}")
 
 
 class LocalizedIntegers(LocalRing):
@@ -334,20 +341,15 @@ class LocalizedIntegers(LocalRing):
         if not _is_prime(p):
             raise InvalidElement(f"{p} is not prime")
         self.p = p
+        self.spelling = f"Zloc{p}"
         self._build_constants()
 
     def element(self, value) -> RingElement:
-        if isinstance(value, RingElement):
-            if not (value.ring is self or value.ring == self):
-                raise RingMismatch(f"{value!r} is not in {self}")
-            return value
-        if isinstance(value, int):
-            return RingElement(self, Fraction(value))
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise InvalidElement(f"{value} has denominator divisible by {self.p}")
             return RingElement(self, value)
-        raise InvalidElement(f"cannot build an element of {self} from {value!r}")
+        return super().element(value)
 
     def parse(self, text: str) -> RingElement:
         s = text.strip()
@@ -384,18 +386,6 @@ class LocalizedIntegers(LocalRing):
     @property
     def is_finite(self):
         return False
-
-    def format_element(self, a):
-        return str(a.payload)
-
-    def __eq__(self, other):
-        return isinstance(other, LocalizedIntegers) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Zloc", self.p))
-
-    def __repr__(self):
-        return f"Zloc{self.p}"
 
 
 class _RawSeries(list):
@@ -446,23 +436,20 @@ class TruncatedSeriesRing(LocalRing):
             raise InvalidElement(f"precision must be positive, got {precision}")
         self.base = base
         self.precision = precision
+        self.spelling = f"series({base},{precision})"
         self._build_constants()
 
     def element(self, value) -> RingElement:
-        if isinstance(value, RingElement):
-            if value.ring is self or value.ring == self:
-                return value
-            if value.ring is self.base or value.ring == self.base:
-                value = [value]
-            else:
-                raise RingMismatch(f"{value!r} is not in {self}")
-        if isinstance(value, int):
+        # Also a base element or an int as a constant, or a coefficient list.
+        if isinstance(value, int) or (
+            isinstance(value, RingElement) and (value.ring is self.base or value.ring == self.base)
+        ):
             value = [value]
         if isinstance(value, (list, tuple)):
             coeffs = [self.base.element(c) for c in value[: self.precision]]
             coeffs += [self.base.zero] * (self.precision - len(coeffs))
             return RingElement(self, tuple(coeffs))
-        raise InvalidElement(f"cannot build an element of {self} from {value!r}")
+        return super().element(value)
 
     def parse(self, text: str) -> RingElement:
         # Accepts "c0 + c1*x + c2*x^2 + ..." with integer or fraction
@@ -541,12 +528,12 @@ class TruncatedSeriesRing(LocalRing):
     def is_finite(self):
         return self.base.is_finite
 
-    def format_element(self, a):
+    def format_raw(self, x):
         terms = []
-        for power, c in enumerate(a.payload):
+        for power, c in enumerate(x):
             if not c:
                 continue
-            cs = self.base.format_element(c)
+            cs = self.base.format_raw(c)
             wrapped = f"({cs})" if ("+" in cs or " " in cs) else cs
             if power == 0:
                 terms.append(cs)
@@ -557,19 +544,6 @@ class TruncatedSeriesRing(LocalRing):
         if not terms:
             return "0"
         return " + ".join(terms).replace("+ -", "- ")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeriesRing)
-            and other.base == self.base
-            and other.precision == self.precision
-        )
-
-    def __hash__(self):
-        return hash(("series", self.base, self.precision))
-
-    def __repr__(self):
-        return f"series({self.base},{self.precision})"
 
 
 # The largest precision parse_ring accepts: zero and one are m-tuples and
@@ -604,18 +578,15 @@ def parse_ring(text: str) -> LocalRing:
             m = int(inner[split_at + 1 :].strip())
         except ValueError:
             raise RingParseError(f"bad precision in {text!r}") from None
-        if m < 1:
-            raise RingParseError(f"precision must be positive in {text!r}")
         if m > MAX_SERIES_PRECISION:
             raise RingParseError(f"precision {m} exceeds the cap {MAX_SERIES_PRECISION} in {text!r}")
-        return TruncatedSeriesRing(base, m)
+        return _construct(text, TruncatedSeriesRing, base, m)
     if s.startswith("Zloc"):
         try:
             p = int(s[4:])
         except ValueError:
             raise RingParseError(f"bad prime in {text!r}") from None
-        _require_prime(p, text)
-        return LocalizedIntegers(p)
+        return _construct(text, LocalizedIntegers, p)
     if s.startswith("Z"):
         body = s[1:]
         if "^" not in body:
@@ -625,20 +596,19 @@ def parse_ring(text: str) -> LocalRing:
             p, k = int(ptext), int(ktext)
         except ValueError:
             raise RingParseError(f"bad Z<p>^<k> spelling in {text!r}") from None
-        _require_prime(p, text)
-        if k < 1:
-            raise RingParseError(f"exponent must be positive in {text!r}")
-        return IntegersMod(p, k)
+        return _construct(text, IntegersMod, p, k)
     if s.startswith("F"):
         try:
             p = int(s[1:])
         except ValueError:
             raise RingParseError(f"bad prime in {text!r}") from None
-        _require_prime(p, text)
-        return PrimeField(p)
+        return _construct(text, PrimeField, p)
     raise RingParseError(f"unrecognized ring spelling {text!r}")
 
 
-def _require_prime(p: int, text: str) -> None:
-    if not _is_prime(p):
-        raise RingParseError(f"{p} is not prime in {text!r}")
+def _construct(text: str, kind, *args) -> LocalRing:
+    # The constructors check primes, exponents and precisions.
+    try:
+        return kind(*args)
+    except InvalidElement as exc:
+        raise RingParseError(f"{exc} in {text!r}") from None

@@ -12,7 +12,7 @@ import pytest
 import qpolar.cli as cli
 from qpolar import Comm2Evidence, QuasipolarWitness, TruncatedSeriesRing, matrix_from_json
 from qpolar.cli import main
-from qpolar.rings import MAX_SERIES_PRECISION, parse_ring
+from qpolar.rings import MAX_PRIME, MAX_SERIES_PRECISION, parse_ring
 
 T3_ARGS = [
     "decompose",
@@ -157,6 +157,22 @@ class TestExitCodes:
         assert str(MAX_SERIES_PRECISION) in capsys.readouterr().err
         ring = parse_ring(f"series(F2,{MAX_SERIES_PRECISION})")
         assert ring.precision == MAX_SERIES_PRECISION == 4096
+
+    @pytest.mark.parametrize(
+        "ring,want",
+        [("F2305843009213693951", 0), ("F618970019642690137449562111", 2)],
+    )
+    def test_large_primes_are_decided_or_refused_fast(self, capsys, ring, want):
+        # 2^61 - 1 is decided by Miller-Rabin; 2^89 - 1 lies above MAX_PRIME.
+        start = time.perf_counter()
+        code = main(["classify-m2", "--ring", ring, "--matrix", "[1,0; 0,2]"])
+        assert time.perf_counter() - start < 1.0
+        assert code == want
+        captured = capsys.readouterr()
+        if want:
+            assert str(MAX_PRIME) in captured.err
+        else:
+            assert "kind: invertible" in captured.out
 
     def test_lift_requires_a_series_ring(self, capsys):
         code, _ = run(

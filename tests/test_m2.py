@@ -1,5 +1,6 @@
 """Trichotomy classification and decomposition of full 2x2 matrices."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,12 @@ from qpolar import (
     classify_m2,
     find_root_split,
     get_view,
+    parse_ring,
     quasipolar_witness_m2,
 )
-from qpolar.matrices import ShapedMatrix
+from qpolar.cli import main
+from qpolar.matrices import QuadraticCharPoly, ShapedMatrix
+from qpolar.rings import _ModularRing
 
 
 def m2_of(ring, a, b, c, d):
@@ -159,3 +163,39 @@ class TestFindRootSplit:
         chi = char_poly_2x2(m2_of(zloc2, 0, -2, 1, 1))
         with pytest.raises(NotQuasipolarError):
             find_root_split(chi, zloc2)
+
+
+def scan_root_split(chi, ring):
+    """The radical scan Newton's method replaced, kept as its reference."""
+    for alpha in ring.elements():
+        if alpha.in_jacobson() and chi.evaluate(alpha) == 0:
+            return alpha, chi.tr - alpha
+    raise NotQuasipolarError(f"{chi} has no radical root in {ring!r}")
+
+
+class TestNewtonRootSplit:
+    @pytest.mark.parametrize("spelling", ["F3", "F5", "Z2^2", "Z2^3", "Z3^2", "Z2^4"])
+    def test_matches_the_scan_on_every_split_quadratic(self, spelling):
+        ring = parse_ring(spelling)
+        elems = list(ring.elements())
+        pairs = [(t, d) for t in elems for d in elems if t.is_unit() and d.in_jacobson()]
+        for tr, det in pairs:
+            chi = QuadraticCharPoly(tr, det)
+            alpha, beta = find_root_split(chi, ring)
+            assert (alpha, beta) == scan_root_split(chi, ring)
+            assert alpha.in_jacobson() and beta.is_unit()
+        assert len(pairs) == {"F3": 2, "F5": 4, "Z2^2": 4, "Z2^3": 16, "Z3^2": 18, "Z2^4": 64}[spelling]
+
+    def test_large_modulus_never_enumerates(self, monkeypatch, capsys):
+        # Z3^13 has 1,594,323 elements; the scan walked to the root at 3^13 - 3.
+        def enumerate_nothing(ring):
+            raise RuntimeError(f"enumerated {ring}")
+
+        monkeypatch.setattr(_ModularRing, "elements", enumerate_nothing)
+        ring = parse_ring("Z3^13")
+        chi = char_poly_2x2(m2_of(ring, 1594320, 0, 0, 1))
+        assert find_root_split(chi, ring) == (ring.element(1594320), ring.one)
+        start = time.perf_counter()
+        assert main(["classify-m2", "--ring", "Z3^13", "--matrix", "[1594320,0; 0,1]"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert "roots: alpha=1594320 beta=1" in capsys.readouterr().out

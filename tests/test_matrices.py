@@ -1,5 +1,6 @@
 import operator
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ from qpolar import (
     parse_ring,
     parse_shape,
 )
-from qpolar.matrices import UP3, Shape
+from qpolar.matrices import MAX_TN_SIZE, UP3, Shape
 
 from qpolar.rings import _ModularRing
 
@@ -50,6 +51,15 @@ def test_parse_shape_names():
         parse_shape("T1")
     with pytest.raises(MatrixParseError):
         parse_shape("hexagon")
+
+
+def test_parse_shape_refuses_tn_sizes_out_of_bounds_fast():
+    assert parse_shape(f"TN{MAX_TN_SIZE}").n == MAX_TN_SIZE == 64
+    for n in (0, MAX_TN_SIZE + 1, 100_000, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(MatrixParseError, match=str(MAX_TN_SIZE)):
+            parse_shape(f"TN{n}")
+        assert time.perf_counter() - start < 1.0
 
 
 def test_from_rows_rejects_entries_off_the_mask(z4):

@@ -3,6 +3,7 @@ import operator
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -18,9 +19,11 @@ from qpolar import (
     RingParseError,
     ShapedMatrix,
     TruncatedSeriesRing,
+    parse_matrix,
     parse_ring,
+    quasipolar_witness_shape,
 )
-from qpolar.rings import RingElement, _ModularRing
+from qpolar.rings import MAX_PRIME, RingElement, _is_prime, _ModularRing
 
 from conftest import assert_canonical, random_element
 
@@ -228,6 +231,129 @@ def test_parse_ring_rejects_bad_spellings():
 def test_parse_ring_round_trips_repr(z4, f2, f3, z8, zloc2):
     for ring in (z4, f2, f3, z8, zloc2, TruncatedSeriesRing(z4, 4)):
         assert parse_ring(repr(ring)) == ring
+
+
+class TestIdentityBySpelling:
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            PrimeField(2),
+            IntegersMod(2, 1),
+            IntegersMod(3, 2),
+            LocalizedIntegers(5),
+            TruncatedSeriesRing(LocalizedIntegers(2), 4),
+            TruncatedSeriesRing(TruncatedSeriesRing(IntegersMod(2, 2), 2), 3),
+        ],
+        ids=repr,
+    )
+    def test_parse_ring_reads_repr_back(self, ring):
+        back = parse_ring(repr(ring))
+        assert back == ring and hash(back) == hash(ring)
+        assert repr(back) == repr(ring) == ring.spelling
+        assert type(back) is type(ring)
+
+    def test_distinct_spellings_are_distinct_rings(self):
+        for a, b in [
+            ("F2", "Z2^1"),
+            ("series(F2,3)", "series(F2,4)"),
+            ("Z2^2", "Z2^3"),
+            ("Zloc2", "Zloc3"),
+            ("series(F2,2)", "series(Z2^1,2)"),
+        ]:
+            assert parse_ring(a) != parse_ring(b)
+        assert PrimeField(2) != IntegersMod(2, 1)
+        assert PrimeField(2) != "F2"
+        assert len({PrimeField(2), IntegersMod(2, 1), parse_ring("F2")}) == 2
+
+
+# The per-ring element formatters that format_raw on raw values replaced,
+# kept as the reference every repr must equal.
+
+
+def format_element(a):
+    ring = a.ring
+    if not isinstance(ring, TruncatedSeriesRing):
+        return str(a.payload)
+    terms = []
+    for power, c in enumerate(a.payload):
+        if not c:
+            continue
+        cs = format_element(c)
+        wrapped = f"({cs})" if ("+" in cs or " " in cs) else cs
+        if power == 0:
+            terms.append(cs)
+        elif power == 1:
+            terms.append("x" if cs == "1" else f"{wrapped}*x")
+        else:
+            terms.append(f"x^{power}" if cs == "1" else f"{wrapped}*x^{power}")
+    if not terms:
+        return "0"
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+class TestFormatting:
+    @pytest.mark.parametrize("spelling", ["F3", "Z2^3", "series(F2,3)", "series(Z2^2,2)"])
+    def test_repr_matches_the_reference_on_every_element(self, spelling):
+        for x in parse_ring(spelling).elements():
+            assert repr(x) == format_element(x)
+
+    @pytest.mark.parametrize(
+        "spelling", ["Zloc2", "series(Zloc2,4)", "series(series(Zloc2,2),2)"]
+    )
+    def test_repr_matches_the_reference_on_seeded_draws(self, spelling):
+        # Integral draws print from int raws, fractional ones from Fractions.
+        ring = parse_ring(spelling)
+        rng = random.Random(f"repr/{spelling}")
+        draws = [random_element(rng, ring, integral) for integral in (True, False) * 150]
+        draws += [ring.zero, ring.one, -ring.one, ring.element(-3), ring.parse("-1/3")]
+        assert any(repr(x).startswith("-") for x in draws)
+        for x in draws:
+            assert repr(x) == format_element(x)
+
+    def test_formatting_a_zloc_series_witness_tests_no_element_for_zero(self, monkeypatch):
+        # A cost pin: text is built from raw values, so it never asks an
+        # element whether it is zero (the per-element formatter made 128).
+        ring = parse_ring("series(Zloc2,8)")
+        w = quasipolar_witness_shape(parse_matrix(ring, M2, "[1 + x, 1/3*x; 2, 2 + 3*x^2]"))
+        calls = [0]
+        orig = RingElement.__bool__
+
+        def counted(self):
+            calls[0] += 1
+            return orig(self)
+
+        monkeypatch.setattr(RingElement, "__bool__", counted)
+        assert ring.one and calls[0] == 1  # the wrapper sees zero tests
+        calls[0] = 0
+        text = " ".join(repr(m) for m in (w.a, w.p, w.u, w.q))
+        assert calls[0] == 0
+        assert text.startswith("[1 + x, 1/3*x; 2, 2 + 3*x^2]")
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_ten_thousand(self):
+        for n in range(10_000):
+            assert _is_prime(n) == trial_division_is_prime(n), n
+
+    def test_large_primes_and_strong_pseudoprimes(self):
+        assert _is_prime(2**61 - 1) and _is_prime(10**14 + 31)
+        assert not _is_prime(2**61 + 1)
+        # Strong pseudoprimes to the bases up to 23, respectively up to 37.
+        assert not _is_prime(3_825_123_056_546_413_051)
+        assert not _is_prime(318_665_857_834_031_151_167_461)
+
+    def test_primes_at_or_above_the_bound_are_refused(self):
+        assert not _is_prime(MAX_PRIME - 1)
+        for n in (MAX_PRIME, 2**89 - 1, 2**127 - 1):
+            with pytest.raises(InvalidElement, match=str(MAX_PRIME)):
+                _is_prime(n)
+            with pytest.raises(RingParseError, match=str(MAX_PRIME)):
+                parse_ring(f"F{n}")
+        assert parse_ring("Zloc2305843009213693951").p == 2**61 - 1
 
 
 # The per-ring payload methods that the element operators, now

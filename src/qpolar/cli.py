@@ -22,6 +22,7 @@ from .rings import QpolarError, TruncatedSeriesRing, parse_ring
 from .sweeps import (
     corner_equivalence_sweep,
     m2_agreement_sweep,
+    oracle_recheck,
     t2_exhaustive_sweep,
     t3_case_sweep,
     t3_rad_clean_sweep,
@@ -128,12 +129,14 @@ def _cmd_decompose(args) -> int:
         payload["pattern"] = list(tag.pattern)
         lines.append(f"case: {tag.case} ({','.join(tag.pattern)})")
     try:
-        w = quasipolar_witness_shape(a, view=view)
+        w = quasipolar_witness_shape(a)
     except NotQuasipolarError as exc:
         payload.update({"kind": "not-quasipolar", "reason": str(exc), "ok": True})
         lines.append(f"not quasipolar: {exc}")
         _emit(args, payload, lines)
         return 0
+    if view is not None:
+        w = oracle_recheck(w, view)
     # For T3 the quasipolar idempotent is the diagonal-pattern E, which is also
     # the rad-clean idempotent.
     rad = rad_clean_witness_t3(a, w.p) if shape == T3 else None

@@ -158,15 +158,12 @@ def classify_m2(a: ShapedMatrix) -> M2Classification:
     return M2Classification(M2Kind.SPLIT, roots=roots)
 
 
-def quasipolar_witness_m2(
-    a: ShapedMatrix, view=None, cls: M2Classification | None = None
-) -> QuasipolarWitness:
+def quasipolar_witness_m2(a: ShapedMatrix, cls: M2Classification | None = None) -> QuasipolarWitness:
     """Quasipolar decomposition of a full 2x2 matrix.
 
     Raises NotQuasipolarError in the obstructed case.  The idempotent is
-    always a polynomial in A, so no commutant search is needed; passing
-    a finite oracle view adds an exhaustive double-commutant recheck.
-    A caller that already holds classify_m2(a) passes it as cls.
+    always a polynomial in A, so no commutant search is needed.  A
+    caller that already holds classify_m2(a) passes it as cls.
     """
     if cls is None:
         cls = classify_m2(a)
@@ -183,4 +180,4 @@ def quasipolar_witness_m2(
         p = (ShapedMatrix.identity(ring, M2).scale(beta) - a).scale(scale)
         if a * p != p.scale(alpha):
             raise WitnessInvalid(f"A*p is not alpha*p for {a!r}")
-    return build_quasipolar(a, p, Comm2Evidence.POLYNOMIAL_IN_A, view)
+    return build_quasipolar(a, p, Comm2Evidence.POLYNOMIAL_IN_A)

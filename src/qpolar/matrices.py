@@ -131,10 +131,13 @@ def parse_shape(name: str) -> Shape:
     key = name.strip().upper()
     if key in SHAPES:
         return SHAPES[key]
-    if key.startswith("TN") and key[2:].isdigit():
-        n = int(key[2:])
+    size = key[2:]
+    if key.startswith("TN") and size.isascii() and size.isdigit():
+        # int() refuses over 4,300 digits, so only a short size reaches it.
+        digits = size.lstrip("0")
+        n = int(digits or 0) if len(digits) <= 4 else 0
         if not 1 <= n <= MAX_TN_SIZE:
-            raise MatrixParseError(f"TN size {n} is outside 1..{MAX_TN_SIZE} in {name!r}")
+            raise MatrixParseError(f"TN size in {name!r} is outside 1..{MAX_TN_SIZE}")
         return TN(n)
     raise MatrixParseError(f"unknown shape {name!r}")
 

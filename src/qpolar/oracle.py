@@ -21,8 +21,10 @@ view: one straight-line function each for product, sum and difference,
 written from the shape's product terms as nested lookups in the scalar
 tables.  Every key product still goes through the class-level
 ``FiniteRingView._mul``, so wrapping that one method counts them all.
-Carriers and the ns x ns scalar tables are capped at 10^6 entries, and
-the cap is checked before anything is enumerated or tabulated.
+A view of N keys costs about N^2 key products (its unit scan alone
+makes N^2), so N^2 is capped at 2^24, which admits 4,096 keys; the
+ns x ns scalar tables are capped at 10^6 entries.  Both caps are checked
+before anything is enumerated or tabulated.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from itertools import product
 from .matrices import Shape, ShapedMatrix
 from .rings import InfiniteRing, LocalRing, QpolarError, RingElement
 
-CARRIER_CAP = 10**6
+KEY_PRODUCT_CAP = 2**24
+TABLE_CAP = 10**6
 
 
 class NotIdempotent(QpolarError):
@@ -104,10 +107,11 @@ class FiniteRingView:
         self.shape = shape
         self.positions = [(0, 0)] if shape is None else shape.positions
         ns, npos = ring.cardinality(), len(self.positions)
-        if max(ns**npos, ns * ns) > CARRIER_CAP:
+        if ns ** (2 * npos) > KEY_PRODUCT_CAP or ns * ns > TABLE_CAP:
             raise InfiniteRing(
-                f"carrier of {ring} / {shape.name if shape else 'scalars'} "
-                f"(or its scalar tables) exceeds {CARRIER_CAP} elements"
+                f"view of {ring} / {shape.name if shape else 'scalars'} exceeds its caps: "
+                f"N^2 <= {KEY_PRODUCT_CAP} key products for N keys, "
+                f"and {TABLE_CAP} scalar-table entries"
             )
         self.scalars = list(ring.elements())
         sidx = {s: i for i, s in enumerate(self.scalars)}

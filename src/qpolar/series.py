@@ -150,7 +150,7 @@ def constant_term_matrix(a: ShapedMatrix) -> ShapedMatrix:
     return ShapedMatrix.from_rows(ring.base, a.shape, rows)
 
 
-def quasipolar_witness_m2_series(a: ShapedMatrix, view=None) -> QuasipolarWitness:
+def quasipolar_witness_m2_series(a: ShapedMatrix) -> QuasipolarWitness:
     """Quasipolar decomposition over a series ring, gated on the constant term.
 
     A series is a unit or radical exactly when its constant term is, so
@@ -159,8 +159,7 @@ def quasipolar_witness_m2_series(a: ShapedMatrix, view=None) -> QuasipolarWitnes
     radical root once (through lift_split).  If the constant matrix is
     not quasipolar the series matrix cannot be either, and
     ConstantNotQuasipolar is raised with the underlying reason.
-    Otherwise the witness is built from that one classification; a
-    finite oracle view adds an exhaustive double-commutant recheck.
+    Otherwise the witness is built from that one classification.
     """
     if a.shape != M2:
         raise UnsupportedShape(f"expected shape M2, got {a.shape.name}")
@@ -169,7 +168,7 @@ def quasipolar_witness_m2_series(a: ShapedMatrix, view=None) -> QuasipolarWitnes
         raise ConstantNotQuasipolar(
             f"constant term is not quasipolar: {cls.reason}"
         )
-    return quasipolar_witness_m2(a, view=view, cls=cls)
+    return quasipolar_witness_m2(a, cls=cls)
 
 
 def check_bleached_series(base: LocalRing, precision: int) -> dict:

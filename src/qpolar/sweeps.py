@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .m2 import M2Kind, NotQuasipolarError, classify_m2, quasipolar_witness_m2
 from .matrices import M2, T2, T3, Shape, ShapedMatrix
-from .oracle import get_view
+from .oracle import FiniteRingView, get_view
 from .rings import LocalizedIntegers, LocalRing
 from .triangular import (
     classify_case,
@@ -23,7 +24,7 @@ from .triangular import (
     quasipolar_witness_t3,
     rad_clean_witness_t3,
 )
-from .witnesses import WitnessInvalid
+from .witnesses import Comm2Evidence, QuasipolarWitness, WitnessInvalid
 
 
 @dataclass
@@ -51,91 +52,99 @@ class SweepReport:
         return f"<sweep {self.name}: {self.total} checked, {state}>"
 
 
-def _sorted_counts(counts: Counter) -> dict:
-    return dict(sorted(counts.items()))
+def oracle_recheck(w: QuasipolarWitness, view: FiniteRingView) -> QuasipolarWitness:
+    """w once its p is found in comm^2(A) by enumeration, or WitnessInvalid.
+
+    A diagonal-pattern witness comes back labelled finite-exhaustive; the
+    checks do not read the label, so its stored report carries over.
+    """
+    if not view.in_double_commutant(view.key_of(w.p), view.key_of(w.a)):
+        raise WitnessInvalid(f"constructed idempotent escapes comm^2 for {w.a!r}")
+    if w.comm2_evidence is Comm2Evidence.CASE_CONSTRUCTION:
+        w = copy(w)
+        object.__setattr__(w, "comm2_evidence", Comm2Evidence.FINITE_EXHAUSTIVE)
+    return w
+
+
+def _sweep(name, keys, value_of, check, total=None, counts=None) -> SweepReport:
+    """check(k, a) for each key k and its matrix a = value_of(k) returns a
+    (label, problem) pair, and a witness error it raises is the problem.
+    Labels other than None are counted, problems are the failures."""
+    counts = Counter() if counts is None else counts
+    failures = []
+    for k in keys:
+        a = value_of(k)
+        try:
+            label, problem = check(k, a)
+        except (WitnessInvalid, NotQuasipolarError) as exc:
+            label, problem = None, exc
+        if label is not None:
+            counts[label] += 1
+        if problem is not None:
+            failures.append(f"{a!r}: {problem}")
+    total = len(keys) if total is None else total
+    return SweepReport(name, total, dict(sorted(counts.items())), failures)
+
+
+def _search_problem(view: FiniteRingView, k, p: ShapedMatrix | None):
+    """None when the oracle's quasipolar search for key k finds exactly p
+    (nothing when p is None), as over a commutative local ring the
+    quasipolar idempotent is unique; otherwise the problem."""
+    found = view.quasipolar_search_keys(k)
+    if found == (() if p is None else (view.key_of(p),)):
+        return None
+    want = "none" if p is None else "only the constructed p"
+    return f"oracle found {len(found)} quasipolar idempotent(s), expected {want}"
 
 
 def t3_case_sweep(ring: LocalRing) -> SweepReport:
     """Every T3 matrix over a finite ring: construct the witness, verify all
     invariants, and confirm comm^2 membership by enumerating the commutant."""
     view = get_view(ring, T3)
-    counts: Counter = Counter()
-    failures = []
-    for k in view.keys:
-        a = view.value_of(k)
-        counts[f"case {classify_case(a).case}"] += 1
-        try:
-            quasipolar_witness_t3(a, view=view)
-        except WitnessInvalid as exc:
-            failures.append(f"{a!r}: {exc}")
-    return SweepReport("t3-case", len(view.keys), _sorted_counts(counts), failures)
+
+    def check(k, a):
+        oracle_recheck(quasipolar_witness_t3(a), view)
+        return f"case {classify_case(a).case}", None
+
+    return _sweep("t3-case", view.keys, view.value_of, check)
 
 
 def t3_rad_clean_sweep(ring: LocalRing) -> SweepReport:
     """Every T3 matrix: the rad-clean witness validates and its idempotent
     shows up in the oracle's exhaustive rad-clean search."""
     view = get_view(ring, T3)
-    counts: Counter = Counter()
-    failures = []
-    for k in view.keys:
-        a = view.value_of(k)
-        try:
-            w = rad_clean_witness_t3(a)
-        except WitnessInvalid as exc:
-            failures.append(f"{a!r}: {exc}")
-            continue
-        if view.key_of(w.e) not in view.rad_clean_search_keys(k):
-            failures.append(f"{a!r}: constructed e missing from oracle search")
-        else:
-            counts["confirmed"] += 1
-    return SweepReport("t3-rad-clean", len(view.keys), _sorted_counts(counts), failures)
+
+    def check(k, a):
+        if view.key_of(rad_clean_witness_t3(a).e) not in view.rad_clean_search_keys(k):
+            return None, "constructed e missing from oracle search"
+        return "confirmed", None
+
+    return _sweep("t3-rad-clean", view.keys, view.value_of, check)
 
 
 def t2_exhaustive_sweep(ring: LocalRing) -> SweepReport:
-    """Every T2 matrix: the diagonal-pattern construction against oracle search."""
+    """Every T2 matrix: the diagonal-pattern idempotent is the oracle's only one."""
     view = get_view(ring, T2)
-    counts: Counter = Counter()
-    failures = []
-    for k in view.keys:
-        a = view.value_of(k)
+
+    def check(k, a):
         pattern = ",".join("J" if d.in_jacobson() else "U" for d in a.diagonal())
-        counts[f"({pattern})"] += 1
-        try:
-            w = quasipolar_witness_t2(a, view=view)
-        except WitnessInvalid as exc:
-            failures.append(f"{a!r}: {exc}")
-            continue
-        if view.key_of(w.p) not in view.quasipolar_search_keys(k):
-            failures.append(f"{a!r}: constructed p missing from oracle search")
-    return SweepReport("t2-exhaustive", len(view.keys), _sorted_counts(counts), failures)
+        return f"({pattern})", _search_problem(view, k, quasipolar_witness_t2(a).p)
+
+    return _sweep("t2-exhaustive", view.keys, view.value_of, check)
 
 
 def m2_agreement_sweep(ring: LocalRing) -> SweepReport:
-    """classify_m2 against the definitional search: quasipolar exactly when
-    the oracle finds an idempotent, and the constructed p is on its list."""
+    """classify_m2 against the definitional search: the oracle finds no
+    idempotent for an obstructed matrix, and otherwise only the constructed p."""
     view = get_view(ring, M2)
-    counts: Counter = Counter()
-    failures = []
-    for k in view.keys:
-        a = view.value_of(k)
+
+    def check(k, a):
         cls = classify_m2(a)
-        counts[cls.kind.value] += 1
-        found = view.quasipolar_search_keys(k)
-        if cls.kind is M2Kind.NOT_QUASIPOLAR:
-            if found:
-                failures.append(f"{a!r}: classified unreachable but oracle found {len(found)}")
-            continue
-        if not found:
-            failures.append(f"{a!r}: classified {cls.kind.value} but oracle found none")
-            continue
-        try:
-            w = quasipolar_witness_m2(a, view=view, cls=cls)
-        except (WitnessInvalid, NotQuasipolarError) as exc:
-            failures.append(f"{a!r}: {exc}")
-            continue
-        if view.key_of(w.p) not in found:
-            failures.append(f"{a!r}: constructed p missing from oracle search")
-    return SweepReport("m2-agreement", len(view.keys), _sorted_counts(counts), failures)
+        obstructed = cls.kind is M2Kind.NOT_QUASIPOLAR
+        p = None if obstructed else quasipolar_witness_m2(a, cls=cls).p
+        return cls.kind.value, _search_problem(view, k, p)
+
+    return _sweep("m2-agreement", view.keys, view.value_of, check)
 
 
 def corner_equivalence_sweep(ring: LocalRing, shape: Shape) -> SweepReport:
@@ -143,62 +152,37 @@ def corner_equivalence_sweep(ring: LocalRing, shape: Shape) -> SweepReport:
     the search finds an idempotent iff some comm^2 idempotent passes
     corner_validate, and for every found p the complement 1-p passes."""
     view = get_view(ring, shape)
-    counts: Counter = Counter()
-    failures = []
-    for k in view.keys:
+
+    def check(k, a):
         found = view.quasipolar_search_keys(k)
-        comm2_idem = [
-            e for e in view.idempotent_keys if view.in_double_commutant(e, k)
-        ]
+        comm2_idem = [e for e in view.idempotent_keys if view.in_double_commutant(e, k)]
         corner_hit = any(view.corner_validate_key(k, e) for e in comm2_idem)
         if bool(found) != corner_hit:
-            failures.append(
-                f"{view.value_of(k)!r}: search={'hit' if found else 'miss'} "
-                f"corner={'hit' if corner_hit else 'miss'}"
-            )
-            continue
-        counts["quasipolar" if found else "obstructed"] += 1
-        for p in found:
-            e = view._sub(view.one_key, p)
-            if not view.corner_validate_key(k, e):
-                failures.append(
-                    f"{view.value_of(k)!r}: complement of found p fails corner check"
-                )
-    return SweepReport(
-        f"corner-equivalence-{shape.name.lower()}",
-        len(view.keys),
-        _sorted_counts(counts),
-        failures,
-    )
+            hit = {True: "hit", False: "miss"}
+            return None, f"search={hit[bool(found)]} corner={hit[corner_hit]}"
+        label = "quasipolar" if found else "obstructed"
+        if not all(view.corner_validate_key(k, view._sub(view.one_key, p)) for p in found):
+            return label, "complement of found p fails corner check"
+        return label, None
+
+    return _sweep(f"corner-equivalence-{shape.name.lower()}", view.keys, view.value_of, check)
 
 
 def transport_sweep(ring: LocalRing, shape: Shape, samples: int = 500, seed: int = 0) -> SweepReport:
     """Random L3, LOW3, UP3, S1 or S2 matrices over a finite ring: the
-    diagonal-pattern witness validates and its p appears in the oracle's
-    search."""
+    diagonal-pattern witness validates and its p is the oracle's only
+    idempotent."""
     view = get_view(ring, shape)
     rng = random.Random(seed)
-    keys = view.keys
-    seen = set()
-    counts: Counter = Counter()
-    failures = []
-    for _ in range(samples):
-        k = keys[rng.randrange(len(keys))]
-        counts["samples"] += 1
-        if k in seen:
-            continue
-        seen.add(k)
-        a = view.value_of(k)
-        try:
-            w = quasipolar_witness_shape(a, view=view)
-        except WitnessInvalid as exc:
-            failures.append(f"{a!r}: {exc}")
-            continue
-        if view.key_of(w.p) not in view.quasipolar_search_keys(k):
-            failures.append(f"{a!r}: constructed p missing from oracle search")
-    counts["distinct"] = len(seen)
-    return SweepReport(
-        f"transport-{shape.name.lower()}", samples, _sorted_counts(counts), failures
+    drawn = [view.keys[rng.randrange(len(view.keys))] for _ in range(samples)]
+    keys = tuple(dict.fromkeys(drawn))
+
+    def check(k, a):
+        return None, _search_problem(view, k, quasipolar_witness_shape(a).p)
+
+    return _sweep(
+        f"transport-{shape.name.lower()}", keys, view.value_of, check,
+        total=samples, counts=Counter(samples=samples, distinct=len(keys)),
     )
 
 
@@ -211,23 +195,15 @@ def zloc_shape_sweep(
     ring = LocalizedIntegers(2)
     rng = random.Random(seed)
 
-    def draw():
-        num = rng.randint(-bound, bound)
-        den = rng.randrange(1, bound, 2)
-        return ring.element(Fraction(num, den))
-
-    counts: Counter = Counter()
-    failures = []
-    for _ in range(samples):
+    def draw(_):
         rows = [[ring.zero] * shape.n for _ in range(shape.n)]
         for i, j in shape.positions:
-            rows[i][j] = draw()
-        a = ShapedMatrix.from_rows(ring, shape, rows)
-        try:
-            quasipolar_witness_shape(a)
-            counts["decomposed"] += 1
-        except WitnessInvalid as exc:
-            failures.append(f"{a!r}: {exc}")
-    return SweepReport(
-        f"zloc2-{shape.name.lower()}", samples, _sorted_counts(counts), failures
-    )
+            num, den = rng.randint(-bound, bound), rng.randrange(1, bound, 2)
+            rows[i][j] = ring.element(Fraction(num, den))
+        return ShapedMatrix.from_rows(ring, shape, rows)
+
+    def check(k, a):
+        quasipolar_witness_shape(a)
+        return "decomposed", None
+
+    return _sweep(f"zloc2-{shape.name.lower()}", range(samples), draw, check)

@@ -32,7 +32,9 @@ patterns, numbered in a fixed order:
 The same E is simultaneously a rad-clean idempotent (A - E is a unit and
 E*A*E is radical in the corner) and the quasipolar idempotent of A
 itself (A + E is a unit too, since both a_ii + 1 and a_ii - 1 are units
-when a_ii is radical).  The witnesses check every identity they claim.
+when a_ii is radical).  The witnesses check every identity they claim;
+the engines never consult the oracle, and sweeps.oracle_recheck is
+where a finite carrier's enumeration rechecks comm^2 membership.
 """
 
 from __future__ import annotations
@@ -118,14 +120,9 @@ def spectral_idempotent_t3(a: ShapedMatrix) -> ShapedMatrix:
     return _spectral_idempotent(a)
 
 
-def quasipolar_witness_t3(a: ShapedMatrix, view=None) -> QuasipolarWitness:
-    """Quasipolar decomposition of a T3 matrix.
-
-    Passing a finite oracle view upgrades the double-commutant evidence
-    to an exhaustive check over every element commuting with A.
-    """
-    p = spectral_idempotent_t3(a)
-    return _finish_witness(a, p, view)
+def quasipolar_witness_t3(a: ShapedMatrix) -> QuasipolarWitness:
+    """Quasipolar decomposition of a T3 matrix."""
+    return _finish_witness(a, spectral_idempotent_t3(a))
 
 
 def rad_clean_witness_t3(a: ShapedMatrix, e: ShapedMatrix | None = None) -> RadCleanWitness:
@@ -141,10 +138,10 @@ def rad_clean_witness_t3(a: ShapedMatrix, e: ShapedMatrix | None = None) -> RadC
     return w
 
 
-def quasipolar_witness_t2(a: ShapedMatrix, view=None) -> QuasipolarWitness:
+def quasipolar_witness_t2(a: ShapedMatrix) -> QuasipolarWitness:
     """Quasipolar decomposition of an upper triangular 2x2 matrix."""
     _require_shape(a, T2)
-    return _finish_witness(a, _spectral_idempotent(a), view)
+    return _finish_witness(a, _spectral_idempotent(a))
 
 
 def scalar_quasipolar(x: RingElement):
@@ -158,7 +155,7 @@ def scalar_quasipolar(x: RingElement):
 _PATTERN_SHAPES = (L3, LOW3, UP3, S1, S2)
 
 
-def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
+def quasipolar_witness_shape(a: ShapedMatrix) -> QuasipolarWitness:
     """Quasipolar decomposition for any shape with a constructive engine.
 
     This is the one dispatch from a matrix's ring and shape to its
@@ -169,21 +166,20 @@ def quasipolar_witness_shape(a: ShapedMatrix, view=None) -> QuasipolarWitness:
     """
     shape = a.shape
     if shape == T3:
-        return quasipolar_witness_t3(a, view=view)
+        return quasipolar_witness_t3(a)
     if shape == T2:
-        return quasipolar_witness_t2(a, view=view)
+        return quasipolar_witness_t2(a)
     if shape == M2:
         if isinstance(a.ring, TruncatedSeriesRing):
-            return quasipolar_witness_m2_series(a, view=view)
-        return quasipolar_witness_m2(a, view=view)
+            return quasipolar_witness_m2_series(a)
+        return quasipolar_witness_m2(a)
     if shape not in _PATTERN_SHAPES:
         raise UnsupportedShape(
             f"no constructive decomposition for shape {shape.name}; "
             "supported: T2, T3, L3, LOW3, UP3, S1, S2, M2"
         )
-    return _finish_witness(a, _spectral_idempotent(a), view)
+    return _finish_witness(a, _spectral_idempotent(a))
 
 
-def _finish_witness(a: ShapedMatrix, p: ShapedMatrix, view) -> QuasipolarWitness:
-    evidence = Comm2Evidence.CASE_CONSTRUCTION if view is None else Comm2Evidence.FINITE_EXHAUSTIVE
-    return build_quasipolar(a, p, evidence, view)
+def _finish_witness(a: ShapedMatrix, p: ShapedMatrix) -> QuasipolarWitness:
+    return build_quasipolar(a, p, Comm2Evidence.CASE_CONSTRUCTION)

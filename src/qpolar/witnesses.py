@@ -24,11 +24,12 @@ class Comm2Evidence(Enum):
     """How double-commutant membership of the idempotent is known.
 
     FINITE_EXHAUSTIVE: checked against every commuting element of a
-    finite carrier.  CASE_CONSTRUCTION (printed ``case-construction``):
-    the idempotent was built from the diagonal unit/radical pattern by
-    the triangular engine, whose defining equations force it to commute
-    with the full commutant.  POLYNOMIAL_IN_A: the idempotent is a
-    polynomial in A, so anything commuting with A commutes with it.
+    finite carrier by the oracle recheck in ``sweeps``; no engine gives
+    this label.  CASE_CONSTRUCTION (printed ``case-construction``): the
+    idempotent was built from the diagonal unit/radical pattern by the
+    triangular engine, whose defining equations force it to commute with
+    the full commutant.  POLYNOMIAL_IN_A: the idempotent is a polynomial
+    in A, so anything commuting with A commutes with it.
     """
 
     FINITE_EXHAUSTIVE = "finite-exhaustive"
@@ -162,14 +163,8 @@ def require_valid(witness) -> None:
         )
 
 
-def build_quasipolar(a: ShapedMatrix, p: ShapedMatrix, evidence: Comm2Evidence, view=None):
-    """The quasipolar witness of A for idempotent p, required valid.
-
-    A finite oracle view adds an exhaustive check that p lies in the
-    double commutant of A.
-    """
-    if view is not None and not view.in_double_commutant(view.key_of(p), view.key_of(a)):
-        raise WitnessInvalid(f"constructed idempotent escapes comm^2 for {a!r}")
+def build_quasipolar(a: ShapedMatrix, p: ShapedMatrix, evidence: Comm2Evidence):
+    """The quasipolar witness of A for idempotent p, required valid."""
     w = QuasipolarWitness(a=a, p=p, u=a + p, q=a * p, comm2_evidence=evidence)
     require_valid(w)
     return w

@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 import qpolar.cli as cli
-from qpolar import Comm2Evidence, QuasipolarWitness, TruncatedSeriesRing, matrix_from_json
+from qpolar import (
+    Comm2Evidence,
+    PrimeField,
+    QuasipolarWitness,
+    TruncatedSeriesRing,
+    matrix_from_json,
+)
 from qpolar.cli import main
 from qpolar.rings import MAX_PRIME, MAX_SERIES_PRECISION, parse_ring
 
@@ -145,6 +151,19 @@ class TestExitCodes:
         start = time.perf_counter()
         code = main(["decompose", "--ring", "series(Z2^2,8)", "--shape", "M2",
                      "--matrix", "[1,0; 0,0]", "--oracle"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "exceeds" in capsys.readouterr().err
+
+    def test_oracle_over_too_many_keys_is_refused_fast(self, capsys, monkeypatch):
+        # F11 / T3 has 161,051 keys: few enough for a key cap of 10^6, but
+        # its unit scan alone would take 2.6e10 key products.
+        def enumerate_nothing(ring):
+            raise RuntimeError(f"enumerated {ring} before checking the cap")
+
+        monkeypatch.setattr(PrimeField, "elements", enumerate_nothing)
+        start = time.perf_counter()
+        code = main(["oracle", "--ring", "F11", "--shape", "T3"])
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "exceeds" in capsys.readouterr().err

@@ -55,10 +55,14 @@ def test_parse_shape_names():
 
 def test_parse_shape_refuses_tn_sizes_out_of_bounds_fast():
     assert parse_shape(f"TN{MAX_TN_SIZE}").n == MAX_TN_SIZE == 64
-    for n in (0, MAX_TN_SIZE + 1, 100_000, 10**12):
+    assert parse_shape(f"TN{'0' * 5000}4").n == 4
+    # int() refuses over 4,300 digits; '²' passes str.isdigit but not int().
+    sizes = [str(n) for n in (0, MAX_TN_SIZE + 1, 100_000, 10**12)] + ["9" * 5000]
+    spellings = [(f"TN{size}", str(MAX_TN_SIZE)) for size in sizes] + [("TN²", "unknown shape")]
+    for spelling, reason in spellings:
         start = time.perf_counter()
-        with pytest.raises(MatrixParseError, match=str(MAX_TN_SIZE)):
-            parse_shape(f"TN{n}")
+        with pytest.raises(MatrixParseError, match=reason):
+            parse_shape(spelling)
         assert time.perf_counter() - start < 1.0
 
 

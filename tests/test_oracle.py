@@ -33,6 +33,7 @@ from qpolar import (
     get_view,
     is_quasinilpotent,
     quasipolar_search,
+    m2_agreement_sweep,
     rad_clean_search,
     t3_case_sweep,
     t3_rad_clean_sweep,
@@ -40,6 +41,7 @@ from qpolar import (
 from qpolar import oracle
 from qpolar.matrices import Shape, ShapedMatrix
 from qpolar.oracle import FiniteRingView
+from qpolar.sweeps import t2_exhaustive_sweep
 
 KERNEL_SHAPES = (T2, T3, L3, LOW3, UP3, S1, S2, M2)
 
@@ -318,7 +320,18 @@ class TestGeneratedKernels:
             assert val(view._add(a, b)) == val(a) + val(b)
             assert val(view._sub(a, b)) == val(a) - val(b)
 
-    def test_t3_case_sweep_over_f3_costs_137700_key_products(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "sweep,ring,products",
+        [
+            (t3_case_sweep, PrimeField(3), 137_700),
+            # 1,172,352 and 258,176 while each witness was rechecked
+            # against comm^2 on top of the search that subsumes it.
+            (t2_exhaustive_sweep, IntegersMod(2, 3), 1_078_144),
+            (m2_agreement_sweep, IntegersMod(2, 2), 245_376),
+        ],
+        ids=["t3-case-F3", "t2-exhaustive-Z2^3", "m2-agreement-Z2^2"],
+    )
+    def test_sweep_costs_pinned_key_products(self, monkeypatch, sweep, ring, products):
         # A cost bound: the kernel makes each product cheaper, never fewer,
         # and every product stays visible on the class-level method.
         monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
@@ -330,9 +343,26 @@ class TestGeneratedKernels:
             return mul(self, a, b)
 
         monkeypatch.setattr(FiniteRingView, "_mul", counted)
-        report = t3_case_sweep(PrimeField(3))
+        report = sweep(ring)
         assert not report.failures
-        assert len(calls) == 137_700
+        assert len(calls) == products
+
+    @pytest.mark.parametrize("sweep", [t2_exhaustive_sweep, m2_agreement_sweep])
+    def test_sweeps_require_the_only_search_hit(self, z4, monkeypatch, sweep):
+        # The quasipolar idempotent over a commutative local ring is unique,
+        # so a search that also finds another idempotent is a failure.
+        monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
+        search = FiniteRingView.quasipolar_search_keys
+
+        def one_more(view, a):
+            found = search(view, a)
+            extra = next(e for e in view.idempotent_keys if e not in found)
+            return found + (extra,)
+
+        monkeypatch.setattr(FiniteRingView, "quasipolar_search_keys", one_more)
+        report = sweep(z4)
+        assert len(report.failures) == report.total
+        assert "expected" in report.failures[0]
 
 
 # The view's own scans and the inline corner loop that the whole-ring

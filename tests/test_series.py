@@ -30,6 +30,7 @@ from qpolar import (
 )
 from qpolar.matrices import ShapedMatrix
 from qpolar.oracle import FiniteRingView
+from qpolar.sweeps import oracle_recheck
 
 
 class TestLiftRoot:
@@ -171,14 +172,16 @@ class TestConstantGate:
         assert w.checks().passed
 
     def test_oracle_view_is_consulted(self, monkeypatch):
+        # The one oracle recheck keeps a polynomial-in-A label, and refuses
+        # a p that the view says escapes comm^2.
         ring = TruncatedSeriesRing(PrimeField(2), 2)
         a = ShapedMatrix.from_rows(ring, M2, [[1, 0], [0, 0]])
         view = FiniteRingView(ring, M2)
-        w = quasipolar_witness_shape(a, view=view)
+        w = oracle_recheck(quasipolar_witness_shape(a), view)
         assert w.comm2_evidence is Comm2Evidence.POLYNOMIAL_IN_A
         monkeypatch.setattr(view, "in_double_commutant", lambda p, a: False)
-        with pytest.raises(WitnessInvalid, match="comm"):
-            quasipolar_witness_shape(a, view=view)
+        with pytest.raises(WitnessInvalid, match="escapes comm"):
+            oracle_recheck(quasipolar_witness_shape(a), view)
 
     def test_rejects_other_shapes(self):
         ring = TruncatedSeriesRing(IntegersMod(2, 2), 2)

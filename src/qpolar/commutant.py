@@ -14,15 +14,19 @@ A ring is bleached when, for every radical j and unit u, the additive
 maps x -> u*x - x*j and x -> j*x - x*u are surjective, and uniquely
 bleached when they are bijective.  ``check_bleached`` and
 ``check_uniquely_bleached`` test this by enumeration on finite rings,
-evaluating both maps on every element for every (j, u) pair.
+evaluating both maps on every element for every (j, u) pair: at most
+N^3/2 evaluations for N elements, a bound checked against
+``BLEACHED_EVALUATION_CAP`` before any element is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import LocalRing, QpolarError, RingElement
+from .rings import InfiniteRing, LocalRing, QpolarError, RingElement
 from .witnesses import WitnessInvalid
+
+BLEACHED_EVALUATION_CAP = 10**6
 
 
 class NotBleachedInstance(QpolarError):
@@ -70,6 +74,10 @@ class BleachedReport:
 
 
 def _run_bleached(ring: LocalRing, bijective: bool) -> BleachedReport:
+    estimate = ring.cardinality() ** 3 // 2  # 2 maps * N elements * |J|*|U| <= N^2/4
+    if estimate > BLEACHED_EVALUATION_CAP:
+        raise InfiniteRing(f"bleached check of {ring} would make up to {estimate} "
+                           f"map evaluations, over the cap {BLEACHED_EVALUATION_CAP}")
     elems = list(ring.elements())
     radicals = [x for x in elems if x.in_jacobson()]
     units = [x for x in elems if x.is_unit()]

@@ -19,11 +19,11 @@ M3     full 3x3                              --
 TN(n)  upper triangular n x n                --
 =====  ====================================  ======================
 
-For every triangular-type shape over a local ring a matrix is a unit of
-the shape ring exactly when its diagonal entries are units, and lies in
-the radical exactly when its diagonal entries do; for M2 the tests are
-det(A) a unit, respectively all entries radical.  M3 carries no unit or
-radical test here; it exists for input/output and negative results only.
+The mask decides the unit and radical tests.  On a triangular mask (no
+(i,j) and (j,i) with i != j) a matrix is a unit, respectively radical,
+exactly when its diagonal entries are; on the full 2x2 mask the tests
+are det(A) a unit, respectively all entries radical.  Any other mask,
+M3 among them, exists for input/output and negative results only.
 
 Products, sums and differences go through the ring's ``raw``/``cook``
 hooks (see :mod:`qpolar.rings`): each entry is unwrapped once and each
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rings import (
     LocalRing,
@@ -66,7 +67,6 @@ class Shape:
     name: str
     n: int
     mask: frozenset
-    unit_rule: str = "diag"  # "diag", "det2", or "none"
 
     def __post_init__(self):
         for i in range(self.n):
@@ -93,6 +93,16 @@ class Shape:
             ]
         return terms
 
+    @cached_property
+    def diagonal_rule(self) -> bool:
+        """Whether the unit and radical tests read the diagonal (module docstring)."""
+        mask = self.mask
+        if all((j, i) not in mask for (i, j) in mask if i != j):
+            return True
+        if self.n == 2 and len(mask) == 4:
+            return False
+        raise UnsupportedShape(f"no unit or radical test for shape {self.name}")
+
     def __repr__(self):
         return f"Shape({self.name})"
 
@@ -108,8 +118,8 @@ LOW3 = Shape("LOW3", 3, _mask([(1, 1), (2, 2), (3, 1), (3, 2), (3, 3)]))
 UP3 = Shape("UP3", 3, _mask([(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]))
 S1 = Shape("S1", 3, _mask([(1, 1), (1, 3), (2, 2), (3, 3)]))
 S2 = Shape("S2", 3, _mask([(1, 1), (2, 2), (3, 2), (3, 3)]))
-M2 = Shape("M2", 2, frozenset((i, j) for i in range(2) for j in range(2)), "det2")
-M3 = Shape("M3", 3, frozenset((i, j) for i in range(3) for j in range(3)), "none")
+M2 = Shape("M2", 2, frozenset((i, j) for i in range(2) for j in range(2)))
+M3 = Shape("M3", 3, frozenset((i, j) for i in range(3) for j in range(3)))
 
 
 def TN(n: int) -> Shape:
@@ -201,14 +211,8 @@ class ShapedMatrix:
 
     @classmethod
     def identity(cls, ring: LocalRing, shape: Shape) -> ShapedMatrix:
-        z, o = ring.zero, ring.one
-        return cls(
-            ring,
-            shape,
-            tuple(
-                tuple(o if i == j else z for j in range(shape.n)) for i in range(shape.n)
-            ),
-        )
+        n, z, o = shape.n, ring.zero, ring.one
+        return cls(ring, shape, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
     def diagonal(self):
         return tuple(self.rows[i][i] for i in range(self.shape.n))
@@ -280,21 +284,15 @@ class ShapedMatrix:
 
     def is_unit(self) -> bool:
         """Invertibility inside the shape ring."""
-        rule = self.shape.unit_rule
-        if rule == "diag":
+        if self.shape.diagonal_rule:
             return all(d.is_unit() for d in self.diagonal())
-        if rule == "det2":
-            return self.det2().is_unit()
-        raise UnsupportedShape(f"no unit test for shape {self.shape.name}")
+        return self.det2().is_unit()
 
     def in_jacobson(self) -> bool:
         """Membership in the radical of the shape ring."""
-        rule = self.shape.unit_rule
-        if rule == "diag":
+        if self.shape.diagonal_rule:
             return all(d.in_jacobson() for d in self.diagonal())
-        if rule == "det2":
-            return all(a.in_jacobson() for row in self.rows for a in row)
-        raise UnsupportedShape(f"no radical test for shape {self.shape.name}")
+        return all(a.in_jacobson() for row in self.rows for a in row)
 
     def det2(self) -> RingElement:
         if self.shape.n != 2:

@@ -4,8 +4,9 @@ Everything in this module works straight from the definitions by
 enumeration: commutants by scanning the whole carrier, units by looking
 for two-sided inverses, quasinilpotence by testing 1 + a*x against every
 commuting x, radicals by the quasi-regularity test.  None of it consults
-the constructive engines or the shape-specific unit rules; that
-independence is what makes it usable as ground truth for them.
+the constructive engines or the unit and radical tests that
+``ShapedMatrix`` reads off a mask; that independence is what makes it
+usable as ground truth for them.
 
 Units, radical and quasinilpotence are defined once, on the corner ring
 e*R*e (:class:`_Corner`).  The whole ring is the corner at the identity,
@@ -16,7 +17,8 @@ one corner, and the Peirce-corner check uses the same code on e*R*e and
 A :class:`FiniteRingView` is built once per (ring, shape) pair; it
 tabulates scalar arithmetic and represents each matrix as a tuple of
 scalar indices over the shape's mask, which keeps the big sweeps inside
-plain tuple and list operations.  Its key arithmetic is generated per
+plain tuple and list operations.  The ring itself is the view of
+``TN(1)``: one position, so each key is one scalar index.  Its key arithmetic is generated per
 view: one straight-line function each for product, sum and difference,
 written from the shape's product terms as nested lookups in the scalar
 tables.  Every key product still goes through the class-level
@@ -32,7 +34,7 @@ from __future__ import annotations
 from itertools import product
 
 from .matrices import Shape, ShapedMatrix
-from .rings import InfiniteRing, LocalRing, QpolarError, RingElement
+from .rings import InfiniteRing, LocalRing, QpolarError
 
 KEY_PRODUCT_CAP = 2**24
 TABLE_CAP = 10**6
@@ -98,18 +100,18 @@ class _Corner:
 
 
 class FiniteRingView:
-    """Exhaustive arithmetic over a finite shaped-matrix (or scalar) ring."""
+    """Exhaustive arithmetic over a finite shaped-matrix ring."""
 
-    def __init__(self, ring: LocalRing, shape: Shape | None = None):
+    def __init__(self, ring: LocalRing, shape: Shape):
         if not ring.is_finite:
             raise InfiniteRing(f"cannot enumerate a view over {ring}")
         self.ring = ring
         self.shape = shape
-        self.positions = [(0, 0)] if shape is None else shape.positions
+        self.positions = shape.positions
         ns, npos = ring.cardinality(), len(self.positions)
         if ns ** (2 * npos) > KEY_PRODUCT_CAP or ns * ns > TABLE_CAP:
             raise InfiniteRing(
-                f"view of {ring} / {shape.name if shape else 'scalars'} exceeds its caps: "
+                f"view of {ring} / {shape.name} exceeds its caps: "
                 f"N^2 <= {KEY_PRODUCT_CAP} key products for N keys, "
                 f"and {TABLE_CAP} scalar-table entries"
             )
@@ -122,17 +124,13 @@ class FiniteRingView:
         self._zero_s = sidx[ring.zero]
         self._one_s = sidx[ring.one]
 
-        if shape is None:
-            self._prod_terms = [[(0, 0)]]
-            diag = [0]
-        else:
-            pos_index = {p: i for i, p in enumerate(self.positions)}
-            terms = shape.product_terms()
-            self._prod_terms = [
-                [(pos_index[(i, k)], pos_index[(k, j)]) for k in terms[(i, j)]]
-                for (i, j) in self.positions
-            ]
-            diag = [pos_index[(i, i)] for i in range(shape.n)]
+        pos_index = {p: i for i, p in enumerate(self.positions)}
+        terms = shape.product_terms()
+        self._prod_terms = [
+            [(pos_index[(i, k)], pos_index[(k, j)]) for k in terms[(i, j)]]
+            for (i, j) in self.positions
+        ]
+        diag = [pos_index[(i, i)] for i in range(shape.n)]
 
         # A sum starts at its first term; adding it to zero changes nothing.
         prods = []
@@ -172,20 +170,12 @@ class FiniteRingView:
     # -- conversions ---------------------------------------------------------
 
     def key_of(self, value):
-        if isinstance(value, ShapedMatrix):
-            if self.shape is None or value.shape != self.shape:
-                raise QpolarError(f"{value!r} does not live in this view")
-            sidx = self._sidx
-            return tuple(sidx[value.rows[i][j]] for (i, j) in self.positions)
-        if isinstance(value, RingElement):
-            if self.shape is not None:
-                raise QpolarError("scalar passed to a matrix view")
-            return (self._sidx[value],)
-        raise QpolarError(f"cannot interpret {value!r} in this view")
+        if not (isinstance(value, ShapedMatrix) and value.shape == self.shape):
+            raise QpolarError(f"{value!r} does not live in this view")
+        sidx = self._sidx
+        return tuple(sidx[value.rows[i][j]] for (i, j) in self.positions)
 
     def value_of(self, key):
-        if self.shape is None:
-            return self.scalars[key[0]]
         n = self.shape.n
         zero = self.ring.zero
         grid = [[zero] * n for _ in range(n)]
@@ -302,7 +292,7 @@ class FiniteRingView:
         )
 
 
-# -- public wrappers over matrices and ring elements ---------------------------
+# -- public wrappers over matrices ---------------------------------------------
 
 
 def commutant(view: FiniteRingView, a) -> list:
@@ -332,7 +322,7 @@ def corner_validate(view: FiniteRingView, a, e) -> bool:
 _VIEW_CACHE: dict = {}
 
 
-def get_view(ring: LocalRing, shape: Shape | None = None) -> FiniteRingView:
+def get_view(ring: LocalRing, shape: Shape) -> FiniteRingView:
     """Shared, memoized view per (ring, shape); views are expensive to build."""
     key = (ring, shape)
     got = _VIEW_CACHE.get(key)

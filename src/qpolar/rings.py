@@ -44,6 +44,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import product
+from math import log10
 
 
 class QpolarError(Exception):
@@ -74,6 +75,8 @@ class RingParseError(QpolarError):
 # exactly below MAX_PRIME (Sorenson & Webster, 2017); larger p are refused.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME = 3_317_044_064_679_887_385_961_981
+# int <-> str refuses over 4,300 digits, so a longer modulus could not print.
+MAX_MODULUS_DIGITS = 4300
 
 
 def _is_prime(n: int) -> bool:
@@ -281,6 +284,8 @@ class _ModularRing(LocalRing):
             raise InvalidElement(f"{p} is not prime")
         if k < 1:
             raise InvalidElement(f"exponent must be positive, got {k}")
+        if k >= MAX_MODULUS_DIGITS / log10(p):
+            raise InvalidElement(f"{p}^{k} has more than {MAX_MODULUS_DIGITS} digits")
         self.p = p
         self.k = k
         self.modulus = p**k
@@ -546,10 +551,12 @@ class TruncatedSeriesRing(LocalRing):
         return " + ".join(terms).replace("+ -", "- ")
 
 
-# The largest precision parse_ring accepts: zero and one are m-tuples and
-# a dense product costs m^2 coefficient products, so a larger m would
-# spend its memory and time before any check could fail.
+# The largest product of nested precisions parse_ring accepts: zero and one
+# are m-tuples and a dense product costs m^2 coefficient products, so a
+# larger m would spend its memory and time before any check could fail.
+# Past 12 levels a precision must be 1; deeper spellings are not recursed.
 MAX_SERIES_PRECISION = 4096
+MAX_SERIES_DEPTH = 12
 
 
 def parse_ring(text: str) -> LocalRing:
@@ -561,6 +568,8 @@ def parse_ring(text: str) -> LocalRing:
         rest = s[len("series") :].strip()
         if not (rest.startswith("(") and rest.endswith(")")):
             raise RingParseError(f"expected series(<ring>,<m>) in {text!r}")
+        if s.count("series") > MAX_SERIES_DEPTH:
+            raise RingParseError(f"series nested deeper than {MAX_SERIES_DEPTH} levels")
         inner = rest[1:-1]
         depth = 0
         split_at = -1
@@ -578,8 +587,11 @@ def parse_ring(text: str) -> LocalRing:
             m = int(inner[split_at + 1 :].strip())
         except ValueError:
             raise RingParseError(f"bad precision in {text!r}") from None
-        if m > MAX_SERIES_PRECISION:
-            raise RingParseError(f"precision {m} exceeds the cap {MAX_SERIES_PRECISION} in {text!r}")
+        span, inner_ring = m, base
+        while isinstance(inner_ring, TruncatedSeriesRing):
+            span, inner_ring = span * inner_ring.precision, inner_ring.base
+        if span > MAX_SERIES_PRECISION:
+            raise RingParseError(f"precision {span} exceeds the cap {MAX_SERIES_PRECISION} in {text!r}")
         return _construct(text, TruncatedSeriesRing, base, m)
     if s.startswith("Zloc"):
         try:

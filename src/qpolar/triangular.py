@@ -1,20 +1,22 @@
 """Quasipolar and rad-clean decompositions for the structured 3x3 shapes.
 
-Over a uniquely bleached commutative local ring, every matrix A in one
-of the triangular-type shapes T2, T3, L3, LOW3, UP3, S1 and S2 is
-quasipolar, and its spectral idempotent E is fixed by the unit/radical
-pattern of A's diagonal.  With d_i = 1 when a_ii is radical and 0 when
-it is a unit, E has diagonal d and, at each off-diagonal mask position
-(i,j), the solution of the commutation equation
+Over a uniquely bleached commutative local ring, every matrix A on a
+triangular-type mask is quasipolar, and its spectral idempotent E is
+fixed by the unit/radical pattern of A's diagonal.  With d_i = 1 when
+a_ii is radical and 0 when it is a unit, E has diagonal d and, at each
+off-diagonal mask position (i,j), the solution of the commutation
+equation
 
     a_ii*e_ij - e_ij*a_jj = (d_i - d_j)*a_ij
 
 so e_ij = 0 when d_i = d_j, and otherwise e_ij = (a_ii - a_jj)^-1 * ±a_ij
 with a unit pivot, since a_ii and a_jj straddle the unit/radical split.
-This one formula is exact on these seven shapes because no off-diagonal
-mask position (i,j) has a middle index k with (i,k) and (k,j) both on
-the mask, so (E*A - A*E)_ij and (E*E - E)_ij involve only i and j.
-TN(n) for n >= 3 has such middles and has no engine here.
+This one formula is exact, and the engine serves a mask, when no
+position (i,j) has a middle index k other than i and j with (i,k) and
+(k,j) on the mask, so (E*A - A*E)_ij and (E*E - E)_ij involve only i
+and j.  Such a mask is triangular (j would be a middle of (i,i)): T2,
+T3, L3, LOW3, UP3, S1, S2, TN1 and any diagonal mask.  TN(n) for n >= 3
+has middles and has no engine here.
 
 For T3 = [a11 0 0; a21 a22 a23; 0 0 a33] the formula gives eight
 patterns, numbered in a fixed order:
@@ -40,21 +42,11 @@ where a finite carrier's enumeration rechecks comm^2 membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .commutant import solve_commutant
 from .m2 import quasipolar_witness_m2
-from .matrices import (
-    L3,
-    LOW3,
-    M2,
-    S1,
-    S2,
-    T2,
-    T3,
-    UP3,
-    ShapedMatrix,
-    UnsupportedShape,
-)
+from .matrices import M2, T2, T3, Shape, ShapedMatrix, UnsupportedShape
 from .rings import RingElement, TruncatedSeriesRing
 from .series import quasipolar_witness_m2_series
 from .witnesses import (
@@ -65,16 +57,7 @@ from .witnesses import (
     require_valid,
 )
 
-_CASE_OF_PATTERN = {
-    ("J", "J", "J"): 1,
-    ("U", "U", "U"): 2,
-    ("U", "J", "J"): 3,
-    ("J", "U", "J"): 4,
-    ("J", "J", "U"): 5,
-    ("J", "U", "U"): 6,
-    ("U", "J", "U"): 7,
-    ("U", "U", "J"): 8,
-}
+_CASE_PATTERNS = ("JJJ", "UUU", "UJJ", "JUJ", "JJU", "JUU", "UJU", "UUJ")
 
 
 @dataclass(frozen=True)
@@ -97,7 +80,7 @@ def classify_case(a: ShapedMatrix) -> CaseTag:
     """The unit/radical pattern of a T3 diagonal, numbered 1 through 8."""
     _require_shape(a, T3)
     pattern = tuple("J" if d.in_jacobson() else "U" for d in a.diagonal())
-    return CaseTag(_CASE_OF_PATTERN[pattern], pattern)
+    return CaseTag(_CASE_PATTERNS.index("".join(pattern)) + 1, pattern)
 
 
 def _spectral_idempotent(a: ShapedMatrix) -> ShapedMatrix:
@@ -152,17 +135,21 @@ def scalar_quasipolar(x: RingElement):
     return ring.one, x + ring.one, x
 
 
-_PATTERN_SHAPES = (L3, LOW3, UP3, S1, S2)
+@lru_cache(maxsize=None)
+def _has_no_middles(shape: Shape) -> bool:
+    """No mask position (i,j) has a product term k other than i and j."""
+    return all(set(ks) <= {i, j} for (i, j), ks in shape.product_terms().items())
 
 
 def quasipolar_witness_shape(a: ShapedMatrix) -> QuasipolarWitness:
     """Quasipolar decomposition for any shape with a constructive engine.
 
     This is the one dispatch from a matrix's ring and shape to its
-    engine.  T2, T3, L3, LOW3, UP3, S1 and S2 take the diagonal-pattern
-    idempotent; M2 goes to the trace/determinant trichotomy, gated on
-    the constant term over a series ring.  Raises NotQuasipolarError for
-    an obstructed M2 matrix.
+    engine.  M2 goes to the trace/determinant trichotomy, gated on the
+    constant term over a series ring; every mask without middle indices
+    (see above) takes the diagonal-pattern idempotent, T2 and T3 through
+    their own entry points.  Raises NotQuasipolarError for an obstructed
+    M2 matrix.
     """
     shape = a.shape
     if shape == T3:
@@ -173,7 +160,7 @@ def quasipolar_witness_shape(a: ShapedMatrix) -> QuasipolarWitness:
         if isinstance(a.ring, TruncatedSeriesRing):
             return quasipolar_witness_m2_series(a)
         return quasipolar_witness_m2(a)
-    if shape not in _PATTERN_SHAPES:
+    if not _has_no_middles(shape):
         raise UnsupportedShape(
             f"no constructive decomposition for shape {shape.name}; "
             "supported: T2, T3, L3, LOW3, UP3, S1, S2, M2"

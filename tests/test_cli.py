@@ -18,6 +18,7 @@ from qpolar import (
     matrix_from_json,
 )
 from qpolar.cli import main
+from qpolar.commutant import BLEACHED_EVALUATION_CAP
 from qpolar.rings import MAX_PRIME, MAX_SERIES_PRECISION, parse_ring
 
 T3_ARGS = [
@@ -192,6 +193,43 @@ class TestExitCodes:
             assert str(MAX_PRIME) in captured.err
         else:
             assert "kind: invertible" in captured.out
+
+    @pytest.mark.parametrize(
+        "ring,why",
+        [
+            ("Z2^20000", "digits"),
+            ("Z2^1000000000", "digits"),
+            ("series(" * 1200 + "F2" + ",2)" * 1200, "nested deeper"),
+            ("series(series(F2,512),512)", str(MAX_SERIES_PRECISION)),
+        ],
+        ids=["long-modulus", "huge-exponent", "deep-nesting", "nested-precision"],
+    )
+    def test_costly_ring_spellings_are_refused_fast(self, capsys, ring, why):
+        # A residue past 4,300 digits cannot print; deep nesting would
+        # recurse past Python's limit; nested precisions multiply.
+        start = time.perf_counter()
+        code = main(["classify-m2", "--ring", ring, "--matrix", "[1,0; 0,0]"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert why in capsys.readouterr().err
+
+    def test_a_modulus_below_the_digit_cap_still_parses(self):
+        assert parse_ring("Z2^14000").modulus == 2**14000
+
+    def test_bleached_over_too_many_elements_is_refused_fast(self, capsys, monkeypatch):
+        # F1000003 would take about 10^12 map evaluations; the bound comes
+        # from its cardinality before any element is enumerated.
+        def enumerate_nothing(ring):
+            raise RuntimeError(f"enumerated {ring} before checking the cap")
+
+        monkeypatch.setattr(PrimeField, "elements", enumerate_nothing)
+        monkeypatch.setattr(TruncatedSeriesRing, "elements", enumerate_nothing)
+        for ring in ("F1000003", "series(F3,5)"):
+            start = time.perf_counter()
+            code = main(["bleached", "--ring", ring])
+            assert time.perf_counter() - start < 1.0
+            assert code == 2
+            assert str(BLEACHED_EVALUATION_CAP) in capsys.readouterr().err
 
     def test_lift_requires_a_series_ring(self, capsys):
         code, _ = run(

@@ -55,7 +55,7 @@ class TestClassification:
             classify_m2(ShapedMatrix.from_rows(z4, T2, [[1, 0], [0, 1]]))
 
     def test_rejects_a_same_named_shape_with_another_mask(self, z4):
-        impostor = Shape("M2", 2, T2.mask, "det2")
+        impostor = Shape("M2", 2, T2.mask)
         with pytest.raises(UnsupportedShape):
             classify_m2(ShapedMatrix.from_rows(z4, impostor, [[1, 1], [0, 2]]))
 

@@ -93,28 +93,39 @@ def test_scale_is_entrywise(z4):
     assert a.scale(z4.element(3)) == parse_matrix(z4, M2, "[3,2; 1,0]")
 
 
-def test_triangular_unit_rule_matches_exhaustive_search(f2):
-    view = get_view(f2, T3)
-    units = view.units
+# A closed block mask, [a b 0; c d 0; 0 0 e]: neither triangular nor the
+# full 2x2 mask, so it has no unit or radical test (a diagonal reading
+# disagrees with the oracle on 4 of its 32 keys over F2).
+BLOCK = Shape("B", 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}))
+
+
+@pytest.mark.parametrize(
+    "ring,shape",
+    [("F2", T3), ("F2", M2), ("Z2^3", TN(1)), ("F2", BLOCK)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_unit_and_radical_tests_match_exhaustive_search(ring, shape):
+    # The mask decides each test: the diagonal on a triangular mask, det
+    # and entries on the full 2x2 mask, none on any other.
+    view = get_view(parse_ring(ring), shape)
     for key in view.keys:
         a = view.value_of(key)
-        assert a.is_unit() == (key in units)
+        if shape is BLOCK:
+            with pytest.raises(UnsupportedShape):
+                a.is_unit()
+            with pytest.raises(UnsupportedShape):
+                a.in_jacobson()
+            continue
+        assert a.is_unit() == (key in view.units)
         assert a.in_jacobson() == (key in view.jacobson_keys)
 
 
-def test_m2_unit_rule_matches_exhaustive_search(f2):
-    view = get_view(f2, M2)
-    units = view.units
-    for key in view.keys:
-        a = view.value_of(key)
-        assert a.is_unit() == (key in units)
-        assert a.in_jacobson() == (key in view.jacobson_keys)
-
-
-def test_m3_has_no_unit_rule(z4):
+def test_m3_has_no_unit_or_radical_test(z4):
     a = ShapedMatrix.identity(z4, M3)
     with pytest.raises(UnsupportedShape):
         a.is_unit()
+    with pytest.raises(UnsupportedShape):
+        a.in_jacobson()
 
 
 def test_char_poly_frozen_examples(z4):

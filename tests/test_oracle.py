@@ -24,6 +24,7 @@ from qpolar import (
     S2,
     T2,
     T3,
+    TN,
     TruncatedSeriesRing,
     UP3,
     classify_m2,
@@ -48,6 +49,11 @@ KERNEL_SHAPES = (T2, T3, L3, LOW3, UP3, S1, S2, M2)
 
 def m2_of(ring, a, b, c, d):
     return ShapedMatrix.from_rows(ring, M2, [[a, b], [c, d]])
+
+
+def scalar(x):
+    """The ring element x as a 1x1 matrix: the ring itself is TN(1)."""
+    return ShapedMatrix.from_rows(x.ring, TN(1), [[x]])
 
 
 class TestCommutant:
@@ -108,11 +114,11 @@ class TestCommutant:
 
 class TestQuasinilpotence:
     def test_scalar_radical_is_qnil_and_units_are_not(self, z4):
-        view = get_view(z4)
-        assert is_quasinilpotent(view, z4.element(2))
-        assert is_quasinilpotent(view, z4.element(0))
-        assert not is_quasinilpotent(view, z4.element(1))
-        assert not is_quasinilpotent(view, z4.element(3))
+        view = get_view(z4, TN(1))
+        assert is_quasinilpotent(view, scalar(z4.element(2)))
+        assert is_quasinilpotent(view, scalar(z4.element(0)))
+        assert not is_quasinilpotent(view, scalar(z4.element(1)))
+        assert not is_quasinilpotent(view, scalar(z4.element(3)))
 
     def test_rank_one_doubling_matrix_is_qnil_over_z4(self, z4):
         view = get_view(z4, M2)
@@ -142,12 +148,13 @@ class TestSearches:
         assert zero in view.rad_clean_search_keys(one)
 
     def test_unit_and_radical_scalars(self, z8):
-        view = get_view(z8)
+        view = get_view(z8, TN(1))
         for s in z8.elements():
+            key = view.key_of(scalar(s))
             if s.is_unit():
-                assert view.zero_key in view.quasipolar_search_keys(view.key_of(s))
+                assert view.zero_key in view.quasipolar_search_keys(key)
             else:
-                assert view.one_key in view.quasipolar_search_keys(view.key_of(s))
+                assert view.one_key in view.quasipolar_search_keys(key)
 
     def test_search_results_satisfy_the_definition(self, f3):
         view = get_view(f3, M2)
@@ -233,25 +240,28 @@ class TestViewPlumbing:
 
     def test_views_are_shared(self, z4):
         assert get_view(z4, T3) is get_view(z4, T3)
-        assert get_view(z4) is get_view(z4)
+        assert get_view(z4, TN(1)) is get_view(z4, TN(1))
         assert get_view(z4, T3) is not get_view(z4, M2)
 
     def test_infinite_rings_are_refused(self):
         with pytest.raises(InfiniteRing):
-            FiniteRingView(LocalizedIntegers(2))
+            FiniteRingView(LocalizedIntegers(2), TN(1))
 
     def test_oversized_carriers_are_refused(self):
         with pytest.raises(InfiniteRing):
             FiniteRingView(IntegersMod(2, 3), M3)
 
     def test_oversized_scalar_tables_are_refused_before_enumeration(self, monkeypatch):
-        # 65,536 scalars fit the cap as keys, but not as 65,536^2 table entries.
+        # 2,048 scalars fit the key cap as 2,048 TN1 keys, but not as
+        # 2,048^2 table entries.
         def enumerate_nothing(ring):
             raise RuntimeError(f"enumerated {ring} before checking the cap")
 
+        ring = TruncatedSeriesRing(PrimeField(2), 11)
+        assert oracle.TABLE_CAP < ring.cardinality() ** 2 <= oracle.KEY_PRODUCT_CAP
         monkeypatch.setattr(TruncatedSeriesRing, "elements", enumerate_nothing)
         with pytest.raises(InfiniteRing, match="exceeds"):
-            FiniteRingView(TruncatedSeriesRing(IntegersMod(2, 2), 8))
+            FiniteRingView(ring, TN(1))
 
     def test_shapes_are_compared_by_value(self, z4, monkeypatch):
         monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
@@ -298,11 +308,11 @@ def loop_sub(view, a, b):
 
 class TestGeneratedKernels:
     @pytest.mark.parametrize(
-        "shape", KERNEL_SHAPES + (None,), ids=lambda s: s.name if s else "scalar"
+        "shape", KERNEL_SHAPES + (TN(1),), ids=lambda s: "scalar" if s.n == 1 else s.name
     )
     def test_equal_to_the_loop_on_every_key_pair(self, f2, z8, shape):
-        # Every matrix shape over F2; the scalar view over Z/8.
-        view = FiniteRingView(f2, shape) if shape is not None else FiniteRingView(z8)
+        # Every matrix shape over F2; the scalars, as TN1, over Z/8.
+        view = FiniteRingView(z8 if shape.n == 1 else f2, shape)
         for a in view.keys:
             for b in view.keys:
                 assert view._mul(a, b) == loop_mul(view, a, b)
@@ -428,11 +438,11 @@ def loop_corner_validate(view, a, e):
 class TestWholeRingCorner:
     @pytest.mark.parametrize(
         "case",
-        [(s, "F2") for s in KERNEL_SHAPES] + [(None, "Z8"), (M2, "Z4")],
-        ids=lambda c: f"{c[0].name if c[0] else 'scalar'}-{c[1]}",
+        [(s, "F2") for s in KERNEL_SHAPES] + [(TN(1), "Z8"), (M2, "Z4")],
+        ids=lambda c: f"{'scalar' if c[0].n == 1 else c[0].name}-{c[1]}",
     )
     def test_equal_to_the_view_scans_on_every_key(self, f2, z4, z8, case):
-        # Every matrix shape over F2; the scalar view over Z/8; M2 over Z2^2.
+        # Every matrix shape over F2; the scalars, as TN1, over Z/8; M2 over Z2^2.
         shape, name = case
         ring = {"F2": f2, "Z4": z4, "Z8": z8}[name]
         view = FiniteRingView(ring, shape)

@@ -195,7 +195,7 @@ class TestConstantGate:
         ring = TruncatedSeriesRing(IntegersMod(2, 2), 2)
         from qpolar import Shape, T2
 
-        impostor = Shape("M2", 2, T2.mask, "det2")
+        impostor = Shape("M2", 2, T2.mask)
         a = ShapedMatrix.from_rows(ring, impostor, [["3", "2 + 2*x"], [0, "2 + 3*x"]])
         with pytest.raises(UnsupportedShape):
             quasipolar_witness_m2_series(a)

@@ -11,7 +11,9 @@ from qpolar import (
     S2,
     T2,
     T3,
+    TN,
     UP3,
+    Comm2Evidence,
     UnsupportedShape,
     classify_case,
     get_view,
@@ -196,19 +198,28 @@ class TestTransportedShapes:
         assert quasipolar_witness_shape(b).checks().passed
 
     def test_unsupported_shapes_are_refused(self, z4):
-        full3 = ShapedMatrix.identity(z4, M3)
-        with pytest.raises(UnsupportedShape):
-            quasipolar_witness_shape(full3)
+        # M3, a mask with middle indices (TN3), and a non-triangular block.
+        block = Shape("B", 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}))
+        for shape in (M3, TN(3), block):
+            with pytest.raises(UnsupportedShape, match="no constructive decomposition"):
+                quasipolar_witness_shape(ShapedMatrix.identity(z4, shape))
 
     @pytest.mark.parametrize("shape", [T2, T3, L3, LOW3, UP3, S1, S2, M2], ids=lambda s: s.name)
     def test_dispatch_compares_shapes_by_value(self, z4, shape):
-        # A same-named shape with another mask has no engine; a shape
-        # equal in value dispatches like the built-in one.
-        diagonal = frozenset((i, i) for i in range(shape.n))
-        impostor = Shape(shape.name, shape.n, diagonal)
-        with pytest.raises(UnsupportedShape):
-            quasipolar_witness_shape(ShapedMatrix.identity(z4, impostor))
-        twin = Shape(shape.name, shape.n, shape.mask, shape.unit_rule)
+        # A same-named shape with another mask gets its own mask's witness,
+        # never the named shape's engine; a shape equal in value dispatches
+        # like the built-in one.
+        n = shape.n
+        impostor = Shape(shape.name, n, frozenset((i, i) for i in range(n)))
+        d = ShapedMatrix.from_rows(
+            z4, impostor, [[(2 - i % 2) * (i == j) for j in range(n)] for i in range(n)]
+        )
+        w = quasipolar_witness_shape(d)
+        assert w.comm2_evidence is Comm2Evidence.CASE_CONSTRUCTION
+        assert w.p == ShapedMatrix.from_rows(
+            z4, impostor, [[int(i == j and i % 2 == 0) for j in range(n)] for i in range(n)]
+        )
+        twin = Shape(shape.name, n, shape.mask)
         a = ShapedMatrix.identity(z4, shape)
         assert quasipolar_witness_shape(ShapedMatrix(z4, twin, a.rows)) == quasipolar_witness_shape(a)
 
@@ -245,7 +256,8 @@ class TestTransportedShapes:
 @pytest.mark.parametrize(
     "ring,shape",
     [("F3", s) for s in (T2, T3, L3, LOW3, UP3, S1, S2)]
-    + [("Z2^2", s) for s in (T2, L3, S1, S2)],
+    + [("Z2^2", s) for s in (T2, L3, S1, S2)]
+    + [("Z2^3", TN(1)), ("F3", Shape("D3", 3, frozenset((i, i) for i in range(3))))],
     ids=lambda x: getattr(x, "name", x),
 )
 def test_engine_idempotent_is_the_unique_one_the_oracle_finds(ring, shape):

@@ -33,6 +33,8 @@ from qpolar import (
 )
 from qpolar import cli, m2, series, triangular
 from qpolar.matrices import ShapedMatrix
+from qpolar.oracle import get_view
+from qpolar.witnesses import _radical_certificate
 
 SRC = Path(qpolar.__file__).resolve().parent
 
@@ -150,6 +152,7 @@ class TestCostPins:
             ("F3", "M2", "[1,1; 0,0]"),
             ("Zloc2", "M2", "[1,2; 2,4]"),
             ("series(Z2^2,8)", "M2", "[1,0; 0,2]"),
+            ("F2", "TN1", "[1]"),
         ],
     )
     def test_other_decomposes_check_one_witness(self, monkeypatch, capsys, ring, shape, matrix):
@@ -208,6 +211,21 @@ class TestCostPins:
         assert rc.checks().passed
         assert products[0] == 4
 
+    @pytest.mark.parametrize(
+        "matrix,count",
+        [("[1,1; 0,1]", 3), ("[1,0; 0,2]", 3), ("[2,2; 2,2]", 3), ("[2,1; 0,2]", 4)],
+        ids=["invertible", "split", "radical", "quasinilpotent"],
+    )
+    def test_only_a_nonradical_m2_quasinilpotent_part_costs_a_power(
+        self, monkeypatch, z4, matrix, count
+    ):
+        # The certificate tries q itself first; q^2 is formed only when q
+        # has a unit entry.
+        w = quasipolar_witness_shape(parse_matrix(z4, M2, matrix))
+        products = _count(monkeypatch, ShapedMatrix, "__mul__")
+        assert w.checks().passed
+        assert products[0] == count
+
     def test_formatting_a_zloc_series_witness_makes_no_fraction_compares(self, monkeypatch):
         # A zero test reads the raw value, so skipping each zero
         # coefficient while formatting compares no Fraction.
@@ -220,3 +238,14 @@ class TestCostPins:
         text = repr(w)
         assert compares[0] == 0
         assert text.startswith("QuasipolarWitness(a=[1 + x, 1/3*x; 2, 2 + 3*x^2], p=")
+
+
+@pytest.mark.parametrize(
+    "ring,shape", [("F2", M2), ("Z2^2", M2), ("F2", T3)], ids=lambda x: getattr(x, "name", x)
+)
+def test_radical_certificate_is_the_oracle_quasinilpotence(ring, shape):
+    # On every key, some q^k (k <= n) is radical exactly when the oracle
+    # finds q quasinilpotent from the definition.
+    view = get_view(parse_ring(ring), shape)
+    for key in view.keys:
+        assert _radical_certificate(view.value_of(key)) == view.is_qnil_key(key), key

@@ -14,8 +14,10 @@ A ring is bleached when, for every radical j and unit u, the additive
 maps x -> u*x - x*j and x -> j*x - x*u are surjective, and uniquely
 bleached when they are bijective.  ``check_bleached`` and
 ``check_uniquely_bleached`` test this by enumeration on finite rings,
-evaluating both maps on every element for every (j, u) pair: at most
-N^3/2 evaluations for N elements, a bound checked against
+evaluating both maps on every element for every (j, u) pair:
+2*N*|J|*|U| evaluations for N elements, where |J| = N/q for the residue
+field size q.  ``bleached_evaluations`` works that count out from the
+ring's cardinality and residue field alone, and it is checked against
 ``BLEACHED_EVALUATION_CAP`` before any element is enumerated.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import InfiniteRing, LocalRing, QpolarError, RingElement
+from .rings import InfiniteRing, LocalRing, QpolarError, RingElement, TruncatedSeriesRing
 from .witnesses import WitnessInvalid
 
 BLEACHED_EVALUATION_CAP = 10**6
@@ -73,10 +75,20 @@ class BleachedReport:
         }
 
 
+def bleached_evaluations(ring: LocalRing) -> int:
+    """2 maps * N elements * |J| radicals * |U| units, without enumerating."""
+    n = ring.cardinality()
+    residue = ring
+    while isinstance(residue, TruncatedSeriesRing):
+        residue = residue.base
+    radicals = n // residue.p  # R/J is the residue field F_p, so |J| = N/p
+    return 2 * n * radicals * (n - radicals)
+
+
 def _run_bleached(ring: LocalRing, bijective: bool) -> BleachedReport:
-    estimate = ring.cardinality() ** 3 // 2  # 2 maps * N elements * |J|*|U| <= N^2/4
+    estimate = bleached_evaluations(ring)
     if estimate > BLEACHED_EVALUATION_CAP:
-        raise InfiniteRing(f"bleached check of {ring} would make up to {estimate} "
+        raise InfiniteRing(f"bleached check of {ring} would make {estimate} "
                            f"map evaluations, over the cap {BLEACHED_EVALUATION_CAP}")
     elems = list(ring.elements())
     radicals = [x for x in elems if x.in_jacobson()]

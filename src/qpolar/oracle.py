@@ -8,11 +8,12 @@ the constructive engines or the unit and radical tests that
 ``ShapedMatrix`` reads off a mask; that independence is what makes it
 usable as ground truth for them.
 
-Units, radical and quasinilpotence are defined once, on the corner ring
-e*R*e (:class:`_Corner`).  The whole ring is the corner at the identity,
-so a view's own units, radical and quasinilpotence test are reads of that
-one corner, and the Peirce-corner check uses the same code on e*R*e and
-(1-e)*R*(1-e).
+Units, commutation, radical and quasinilpotence are defined once, on the
+corner ring e*R*e (:class:`_Corner`).  The whole ring is the corner at
+the identity, so a view's own units, commutants, radical and
+quasinilpotence test are reads of that one corner, and the Peirce-corner
+check uses the same code on e*R*e and (1-e)*R*(1-e).  Membership of p in
+comm^2(a) is one test, comm(a) <= comm(p).
 
 A :class:`FiniteRingView` is built once per (ring, shape) pair; it
 tabulates scalar arithmetic and represents each matrix as a tuple of
@@ -23,15 +24,21 @@ view: one straight-line function each for product, sum and difference,
 written from the shape's product terms as nested lookups in the scalar
 tables.  Every key product still goes through the class-level
 ``FiniteRingView._mul``, so wrapping that one method counts them all.
-A view of N keys costs about N^2 key products (its unit scan alone
-makes N^2), so N^2 is capped at 2^24, which admits 4,096 keys; the
-ns x ns scalar tables are capped at 10^6 entries.  Both caps are checked
-before anything is enumerated or tabulated.
+
+A corner of N keys costs N^2 key products for its units and its
+commutation relation together, and keeps the relation as N^2 flag bytes.
+Until the whole-ring corner exists, one key's commutant is a scan of 2N
+products, so a single ``qp decompose --oracle`` check stays O(N); the
+exhaustive verbs build that corner and read every commutant from it.
+N^2 is capped at 2^24, which admits 4,096 keys; the ns x ns scalar
+tables are capped at 10^6 entries.  Both caps are checked before
+anything is enumerated or tabulated.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product, repeat
+from operator import eq
 
 from .matrices import Shape, ShapedMatrix
 from .rings import InfiniteRing, LocalRing, QpolarError
@@ -54,26 +61,79 @@ def _straight_line(npos: int, slots: list, tables: dict):
     return namespace["f"]
 
 
-class _Corner:
-    """The corner ring e*R*e with identity e: its carrier, units, radical and
-    quasinilpotence test.  The whole ring is the corner at the identity."""
+class _Relation:
+    """The relation a*b == b*a on a carrier, one flag byte per ordered pair.
 
-    __slots__ = ("identity", "carrier", "units", "_jacobson", "_view")
+    Read like the view's commutant cache (``in`` and ``get``), it gives each
+    carrier element's commutant in carrier order, so the whole ring's
+    relation replaces that cache once the whole-ring corner exists.
+    """
+
+    __slots__ = ("carrier", "_flags", "_index")
+
+    def __init__(self, carrier: tuple, flags: bytearray):
+        self.carrier = carrier
+        self._flags = flags
+        self._index = {k: i for i, k in enumerate(carrier)}
+
+    def __contains__(self, a) -> bool:
+        return a in self._index
+
+    def get(self, a) -> tuple:
+        return tuple(compress(self.carrier, self._row(a)))
+
+    def within(self, a, p) -> bool:
+        """comm(a) <= comm(p), as flag rows read as integers."""
+        return not int.from_bytes(self._row(a), "big") & ~int.from_bytes(self._row(p), "big")
+
+    def _row(self, a) -> bytearray:
+        n = len(self.carrier)
+        row = self._index[a] * n
+        return self._flags[row : row + n]
+
+
+class _Corner:
+    """The corner ring e*R*e with identity e: its carrier, units, commutation
+    relation, radical and quasinilpotence test.  The whole ring is the corner
+    at the identity.
+
+    One pass over the unordered pairs {a, b} of the N carrier elements makes
+    a*b and b*a once each (a*a once): N^2 key products, from which it keeps
+    both the units (by two-sided inverses) and the relation a*b == b*a.
+    """
+
+    __slots__ = ("identity", "carrier", "units", "commuting", "_jacobson", "_view")
 
     def __init__(self, view: FiniteRingView, e_key, carrier: tuple):
         self._view = view
         self.identity = e_key
         self.carrier = carrier
-        # Two-sided inverse scan within the corner.
         mul = view._mul
+        n = len(carrier)
+        flags = bytearray(n * n)
         rights = set()
         lefts = set()
-        for a in carrier:
-            for b in carrier:
-                if mul(a, b) == e_key:
-                    rights.add(a)
-                    lefts.add(b)
+        for i, a in enumerate(carrier):
+            rest = carrier[i + 1 :]
+            ab = [mul(a, b) for b in rest]
+            ba = [mul(b, a) for b in rest]
+            commute = bytes(map(eq, ab, ba))
+            # Row i right of the diagonal, and column i below it.
+            row = i * n
+            flags[row + i + 1 : row + n] = flags[row + n + i :: n] = commute
+            # x*y == e gives x a right inverse and y a left one.
+            if mul(a, a) == e_key:
+                rights.add(a)
+                lefts.add(a)
+            if e_key in ab:
+                rights.add(a)
+                lefts.update(compress(rest, map(eq, ab, repeat(e_key))))
+            if e_key in ba:
+                lefts.add(a)
+                rights.update(compress(rest, map(eq, ba, repeat(e_key))))
+        flags[:: n + 1] = b"\x01" * n
         self.units = frozenset(rights & lefts)
+        self.commuting = _Relation(carrier, flags)
         self._jacobson = None
 
     @property
@@ -150,7 +210,7 @@ class FiniteRingView:
         self.zero_key = tuple(z for _ in range(npos))
         self.one_key = tuple(o if i in diag else z for i in range(npos))
 
-        self._comm_cache: dict = {}
+        self._comm_cache: dict | _Relation = {}
         self._qnil_cache: dict = {}
         self._idempotents: tuple | None = None
         self._corners: dict = {}
@@ -209,6 +269,8 @@ class FiniteRingView:
     # -- key-level queries (cached) --------------------------------------------
 
     def commutant_keys(self, a) -> tuple:
+        # A dict of 2N-product scans until the whole-ring corner exists,
+        # then that corner's relation, which holds every key.
         got = self._comm_cache.get(a)
         if got is None:
             mul = self._mul
@@ -217,15 +279,14 @@ class FiniteRingView:
         return got
 
     def double_commutant_keys(self, a) -> tuple:
-        comm = self.commutant_keys(a)
-        mul = self._mul
-        return tuple(
-            x for x in self.keys if all(mul(x, y) == mul(y, x) for y in comm)
-        )
+        self._corner(self.one_key)  # every key's commutant is read
+        return tuple(x for x in self.keys if self.in_double_commutant(x, a))
 
     def in_double_commutant(self, p, a) -> bool:
-        mul = self._mul
-        return all(mul(p, y) == mul(y, p) for y in self.commutant_keys(a))
+        """p commutes with everything that commutes with a: comm(a) <= comm(p)."""
+        if isinstance(self._comm_cache, _Relation):
+            return self._comm_cache.within(a, p)
+        return set(self.commutant_keys(p)).issuperset(self.commutant_keys(a))
 
     def is_qnil_key(self, a) -> bool:
         got = self._qnil_cache.get(a)
@@ -238,11 +299,10 @@ class FiniteRingView:
         mul, add = self._mul, self._add
         units = self.units
         found = []
-        comm = self.commutant_keys(a)
         for p in self.idempotent_keys:
             if mul(p, a) != mul(a, p):
                 continue
-            if any(mul(p, y) != mul(y, p) for y in comm):
+            if not self.in_double_commutant(p, a):
                 continue
             if add(a, p) not in units:
                 continue
@@ -274,6 +334,8 @@ class FiniteRingView:
                 mul = self._mul
                 carrier = tuple(dict.fromkeys(mul(mul(e_key, k), e_key) for k in self.keys))
             got = self._corners[e_key] = _Corner(self, e_key, carrier)
+            if e_key == self.one_key:
+                self._comm_cache = got.commuting
         return got
 
     def corner_validate_key(self, a, e) -> bool:
@@ -287,9 +349,7 @@ class FiniteRingView:
             return False
         af = mul(a, f)
         corner_f = self._corner(f)
-        return corner_f.is_qnil(
-            af, (x for x in corner_f.carrier if mul(x, af) == mul(af, x))
-        )
+        return corner_f.is_qnil(af, corner_f.commuting.get(af))
 
 
 # -- public wrappers over matrices ---------------------------------------------

@@ -217,7 +217,7 @@ class TestExitCodes:
         assert parse_ring("Z2^14000").modulus == 2**14000
 
     def test_bleached_over_too_many_elements_is_refused_fast(self, capsys, monkeypatch):
-        # F1000003 would take about 10^12 map evaluations; the bound comes
+        # F1000003 would take about 2*10^12 map evaluations; the bound comes
         # from its cardinality before any element is enumerated.
         def enumerate_nothing(ring):
             raise RuntimeError(f"enumerated {ring} before checking the cap")
@@ -230,6 +230,12 @@ class TestExitCodes:
             assert time.perf_counter() - start < 1.0
             assert code == 2
             assert str(BLEACHED_EVALUATION_CAP) in capsys.readouterr().err
+
+    def test_bleached_over_a_field_counts_its_one_radical(self, capsys):
+        # 2 * 127 * 126 = 32,004 evaluations: under the cap.
+        code = main(["bleached", "--ring", "F127", "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["report"]["pairs_checked"] == 126
 
     def test_lift_requires_a_series_ring(self, capsys):
         code, _ = run(

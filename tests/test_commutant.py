@@ -9,6 +9,8 @@ from qpolar import (
     check_uniquely_bleached,
     solve_commutant,
 )
+from qpolar.commutant import bleached_evaluations
+from qpolar.rings import parse_ring
 
 
 def test_solve_commutant_unit_minus_radical(z4):
@@ -58,3 +60,16 @@ def test_surjective_mode_reports(z4):
     assert report.passed
     assert report.mode == "surjective"
     assert report.to_dict()["ok"] is True
+
+
+@pytest.mark.parametrize("spelling", ["Z2^3", "F5", "Z3^2", "series(F2,2)"])
+def test_evaluation_estimate_is_the_count_the_check_makes(spelling):
+    # Two maps on N elements for each (radical, unit) pair.
+    ring = parse_ring(spelling)
+    report = check_bleached(ring)
+    assert bleached_evaluations(ring) == 2 * ring.cardinality() * report.pairs_checked
+
+
+def test_evaluation_estimate_uses_the_residue_field():
+    assert bleached_evaluations(parse_ring("F127")) == 2 * 127 * 126
+    assert bleached_evaluations(parse_ring("series(F3,5)")) == 6_377_292

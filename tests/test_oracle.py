@@ -56,6 +56,20 @@ def scalar(x):
     return ShapedMatrix.from_rows(x.ring, TN(1), [[x]])
 
 
+def count_key_products(monkeypatch) -> list:
+    """A list that grows by one per key product, on fresh views."""
+    monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
+    calls = []
+    mul = FiniteRingView._mul
+
+    def counted(self, a, b):
+        calls.append(None)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteRingView, "_mul", counted)
+    return calls
+
+
 class TestCommutant:
     def test_nilpotent_jordan_block_over_f2(self, f2):
         view = get_view(f2, M2)
@@ -333,26 +347,21 @@ class TestGeneratedKernels:
     @pytest.mark.parametrize(
         "sweep,ring,products",
         [
-            (t3_case_sweep, PrimeField(3), 137_700),
-            # 1,172,352 and 258,176 while each witness was rechecked
-            # against comm^2 on top of the search that subsumes it.
-            (t2_exhaustive_sweep, IntegersMod(2, 3), 1_078_144),
-            (m2_agreement_sweep, IntegersMod(2, 2), 245_376),
+            # N^2 for N = 243: the whole-ring corner's one pass, whose
+            # relation answers every comm^2 check.
+            (t3_case_sweep, PrimeField(3), 59_049),
+            # 1,078,144 and 245,376 while each comm^2 check scanned
+            # commutants; 1,172,352 and 258,176 before that, while each
+            # witness was rechecked on top of the search that subsumes it.
+            (t2_exhaustive_sweep, IntegersMod(2, 3), 296_960),
+            (m2_agreement_sweep, IntegersMod(2, 2), 81_696),
         ],
         ids=["t3-case-F3", "t2-exhaustive-Z2^3", "m2-agreement-Z2^2"],
     )
     def test_sweep_costs_pinned_key_products(self, monkeypatch, sweep, ring, products):
-        # A cost bound: the kernel makes each product cheaper, never fewer,
-        # and every product stays visible on the class-level method.
-        monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
-        calls = []
-        mul = FiniteRingView._mul
-
-        def counted(self, a, b):
-            calls.append(None)
-            return mul(self, a, b)
-
-        monkeypatch.setattr(FiniteRingView, "_mul", counted)
+        # A cost pin: commutants come from the products the unit scan makes
+        # anyway, and every product stays visible on the class-level method.
+        calls = count_key_products(monkeypatch)
         report = sweep(ring)
         assert not report.failures
         assert len(calls) == products
@@ -469,17 +478,57 @@ class TestWholeRingCorner:
     def test_t3_rad_clean_sweep_over_f3_costs_103595_key_products(self, monkeypatch):
         # The unit scan runs once per view, shared by units, the radical
         # and every qnil test through the corner at one.
-        monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
-        calls = []
-        mul = FiniteRingView._mul
-
-        def counted(self, a, b):
-            calls.append(None)
-            return mul(self, a, b)
-
-        monkeypatch.setattr(FiniteRingView, "_mul", counted)
+        calls = count_key_products(monkeypatch)
         report = t3_rad_clean_sweep(PrimeField(3))
         assert not report.failures
         assert len(calls) == 103_595
         view = get_view(PrimeField(3), T3)
         assert view.units is view._corner(view.one_key).units
+
+
+class TestCommutationRelation:
+    @pytest.mark.parametrize(
+        "case", [(T3, "F2"), (M2, "Z4"), (TN(1), "Z8")], ids=["T3-F2", "M2-Z2^2", "TN1-Z8"]
+    )
+    def test_equal_to_the_loop_on_every_key_of_every_corner(self, f2, z4, z8, case):
+        shape, name = case
+        view = FiniteRingView({"F2": f2, "Z4": z4, "Z8": z8}[name], shape)
+        mul = view._mul
+        for e in view.idempotent_keys:
+            corner = view._corner(e)
+            for a in corner.carrier:
+                want = tuple(x for x in corner.carrier if mul(x, a) == mul(a, x))
+                assert corner.commuting.get(a) == want
+
+    @pytest.mark.parametrize("case", [(T3, "F2"), (M2, "Z4")], ids=["T3-F2", "M2-Z2^2"])
+    def test_commutants_unchanged_once_the_whole_ring_corner_exists(self, f2, z4, case):
+        # Scans before, relation reads after: the same tuples and comm^2 answers.
+        shape, name = case
+        view = FiniteRingView({"F2": f2, "Z4": z4}[name], shape)
+
+        def answers():
+            comm = [view.commutant_keys(k) for k in view.keys]
+            comm2 = [[view.in_double_commutant(e, k) for e in view.idempotent_keys]
+                     for k in view.keys]
+            return comm, comm2
+
+        before = answers()
+        assert not view._corners
+        view._corner(view.one_key)
+        # Every key is now a hit in the commutant cache.
+        assert all(k in view._comm_cache for k in view.keys)
+        assert answers() == before
+
+    def test_decompose_with_oracle_scans_two_commutants_and_builds_no_corner(
+        self, capsys, monkeypatch
+    ):
+        from qpolar.cli import main
+
+        calls = count_key_products(monkeypatch)
+        argv = ["decompose", "--ring", "Z2^2", "--shape", "T3",
+                "--matrix", "[1,0,0; 1,2,1; 0,0,3]", "--oracle"]
+        assert main(argv) == 0
+        assert "evidence: finite-exhaustive" in capsys.readouterr().out
+        view = get_view(IntegersMod(2, 2), T3)
+        assert len(calls) <= 4 * len(view.keys)
+        assert not view._corners

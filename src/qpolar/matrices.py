@@ -19,11 +19,14 @@ M3     full 3x3                              --
 TN(n)  upper triangular n x n                --
 =====  ====================================  ======================
 
-The mask decides the unit and radical tests.  On a triangular mask (no
-(i,j) and (j,i) with i != j) a matrix is a unit, respectively radical,
-exactly when its diagonal entries are; on the full 2x2 mask the tests
-are det(A) a unit, respectively all entries radical.  Any other mask,
-M3 among them, exists for input/output and negative results only.
+A shape ring is a structural matrix ring (van Wyk, "Special radicals in
+structural matrix rings", Comm. Algebra 16, 1988), so one rule reads its
+units and radical off the mask.  The symmetric positions, (i,j) with
+(j,i) also on the mask, group the indices into blocks: A is a unit
+exactly when each diagonal block of A is, and radical exactly when every
+entry at a symmetric position is.  A triangular mask has one-index
+blocks, so its diagonal decides; the full 2x2 mask is one block.  M3 has
+both tests but no engine (see :mod:`qpolar.triangular`).
 
 Products, sums and differences go through the ring's ``raw``/``cook``
 hooks (see :mod:`qpolar.rings`): each entry is unwrapped once and each
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .rings import (
     LocalRing,
@@ -62,7 +65,7 @@ class MatrixParseError(QpolarError):
 
 @dataclass(frozen=True)
 class Shape:
-    """A multiplication-closed set of positions in an n x n grid."""
+    """A multiplication-closed set of positions in an n x n grid; caches what its mask implies."""
 
     name: str
     n: int
@@ -72,36 +75,51 @@ class Shape:
         for i in range(self.n):
             if (i, i) not in self.mask:
                 raise ShapeMismatch(f"shape {self.name} is missing diagonal ({i},{i})")
-
-    @property
-    def positions(self):
-        return sorted(self.mask)
+        if not self.closed_under_product():
+            raise ShapeMismatch(f"shape {self.name} is not closed under products")
 
     def closed_under_product(self) -> bool:
-        for (i, k1) in self.mask:
-            for (k2, j) in self.mask:
-                if k1 == k2 and (i, j) not in self.mask:
-                    return False
-        return True
+        # (i,k) and (k,j) on the mask put (i,j) on it: row k's columns lie in row i's.
+        rows = [set() for _ in range(self.n)]
+        for (i, j) in self.mask:
+            rows[i].add(j)
+        return all(rows[k] <= rows[i] for (i, k) in self.mask)
+
+    @cached_property
+    def positions(self) -> tuple:
+        return tuple(sorted(self.mask))
 
     def product_terms(self):
         # For each mask position (i,j), the k's contributing a[i][k]*b[k][j].
-        terms = {}
-        for (i, j) in self.positions:
-            terms[(i, j)] = [
-                k for k in range(self.n) if (i, k) in self.mask and (k, j) in self.mask
-            ]
-        return terms
+        mask = self.mask
+        return {(i, j): [k for k in range(self.n) if (i, k) in mask and (k, j) in mask]
+                for (i, j) in self.positions}
 
     @cached_property
-    def diagonal_rule(self) -> bool:
-        """Whether the unit and radical tests read the diagonal (module docstring)."""
-        mask = self.mask
-        if all((j, i) not in mask for (i, j) in mask if i != j):
-            return True
-        if self.n == 2 and len(mask) == 4:
-            return False
-        raise UnsupportedShape(f"no unit or radical test for shape {self.name}")
+    def flat_terms(self) -> tuple:
+        """Per mask position, (slot, p, q, rest): entry i*n + j of a product sums
+        x[p]*y[q] over its first term, which k = i always gives, and each pair
+        in ``rest``, with (p, q) = (i*n + k, k*n + j) over row-major indices."""
+        n, got = self.n, []
+        for (i, j), ks in self.product_terms().items():
+            (p, q), *rest = [(i * n + k, k * n + j) for k in ks]
+            got.append((i * n + j, p, q, tuple(rest)))
+        return tuple(got)
+
+    @cached_property
+    def has_no_middles(self) -> bool:
+        """No mask position (i,j) has a product term k other than i and j."""
+        return all(set(ks) <= {i, j} for (i, j), ks in self.product_terms().items())
+
+    @cached_property
+    def symmetric(self) -> tuple:
+        """The positions (i,j) whose mirror (j,i) is on the mask, sorted."""
+        return tuple((i, j) for (i, j) in self.positions if (j, i) in self.mask)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The classes of ``symmetric``, an equivalence since the mask is closed."""
+        return tuple(sorted({tuple(j for (i, j) in self.symmetric if i == k) for k in range(self.n)}))
 
     def __repr__(self):
         return f"Shape({self.name})"
@@ -122,8 +140,9 @@ M2 = Shape("M2", 2, frozenset((i, j) for i in range(2) for j in range(2)))
 M3 = Shape("M3", 3, frozenset((i, j) for i in range(3) for j in range(3)))
 
 
+@cache
 def TN(n: int) -> Shape:
-    """Upper triangular n x n."""
+    """Upper triangular n x n, one shape object per n."""
     if n == 2:
         return T2
     return Shape(f"TN{n}", n, frozenset((i, j) for i in range(n) for j in range(i, n)))
@@ -150,28 +169,6 @@ def parse_shape(name: str) -> Shape:
             raise MatrixParseError(f"TN size in {name!r} is outside 1..{MAX_TN_SIZE}")
         return TN(n)
     raise MatrixParseError(f"unknown shape {name!r}")
-
-
-_TERMS_CACHE: dict = {}
-
-
-def _terms_for(shape: Shape):
-    """Per mask position, (slot, p, q, rest) over row-major flat indices.
-
-    The product's entry at slot i*n + j sums x[p]*y[q] over its first
-    term and every pair in ``rest``, with (p, q) = (i*n + k, k*n + j).
-    Every mask position has a term (k = i), so no sum starts from zero.
-    Cached by shape value: two shapes may share a name.
-    """
-    got = _TERMS_CACHE.get(shape)
-    if got is None:
-        n = shape.n
-        got = []
-        for (i, j), ks in shape.product_terms().items():
-            (p, q), *rest = [(i * n + k, k * n + j) for k in ks]
-            got.append((i * n + j, p, q, tuple(rest)))
-        got = _TERMS_CACHE[shape] = tuple(got)
-    return got
 
 
 class ShapedMatrix:
@@ -258,7 +255,7 @@ class ShapedMatrix:
         cook = ring.cook
         xs, ys = self._flat_raw(), other._flat_raw()
         out = [ring.zero] * len(xs)
-        for slot, p, q, rest in _terms_for(self.shape):
+        for slot, p, q, rest in self.shape.flat_terms:
             acc = xs[p] * ys[q]
             for p, q in rest:
                 acc = acc + xs[p] * ys[q]
@@ -283,16 +280,26 @@ class ShapedMatrix:
         return hash((self.ring, self.shape, self.rows))
 
     def is_unit(self) -> bool:
-        """Invertibility inside the shape ring."""
-        if self.shape.diagonal_rule:
-            return all(d.is_unit() for d in self.diagonal())
-        return self.det2().is_unit()
+        """Invertibility inside the shape ring: each diagonal block's det is a
+        unit.  Unit-pivot elimination, no division: row r becomes piv[0]*r -
+        r[0]*piv (det times a unit), and a column with no unit pivot has radical det."""
+        rows = self.rows
+        for block in self.shape.blocks:
+            m = [[rows[i][j] for j in block] for i in block]
+            while m:
+                for k, piv in enumerate(m):
+                    if piv[0].is_unit():
+                        break
+                else:
+                    return False
+                del m[k]
+                m = [[piv[0] * x - r[0] * y for x, y in zip(r[1:], piv[1:])] for r in m]
+        return True
 
     def in_jacobson(self) -> bool:
-        """Membership in the radical of the shape ring."""
-        if self.shape.diagonal_rule:
-            return all(d.in_jacobson() for d in self.diagonal())
-        return all(a.in_jacobson() for row in self.rows for a in row)
+        """Radical in the shape ring: every entry at a symmetric position is."""
+        rows = self.rows
+        return all(rows[i][j].in_jacobson() for i, j in self.shape.symmetric)
 
     def det2(self) -> RingElement:
         if self.shape.n != 2:

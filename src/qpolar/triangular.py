@@ -42,11 +42,10 @@ where a finite carrier's enumeration rechecks comm^2 membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .commutant import solve_commutant
 from .m2 import quasipolar_witness_m2
-from .matrices import M2, T2, T3, Shape, ShapedMatrix, UnsupportedShape
+from .matrices import M2, T2, T3, ShapedMatrix, UnsupportedShape
 from .rings import RingElement, TruncatedSeriesRing
 from .series import quasipolar_witness_m2_series
 from .witnesses import (
@@ -135,12 +134,6 @@ def scalar_quasipolar(x: RingElement):
     return ring.one, x + ring.one, x
 
 
-@lru_cache(maxsize=None)
-def _has_no_middles(shape: Shape) -> bool:
-    """No mask position (i,j) has a product term k other than i and j."""
-    return all(set(ks) <= {i, j} for (i, j), ks in shape.product_terms().items())
-
-
 def quasipolar_witness_shape(a: ShapedMatrix) -> QuasipolarWitness:
     """Quasipolar decomposition for any shape with a constructive engine.
 
@@ -160,7 +153,7 @@ def quasipolar_witness_shape(a: ShapedMatrix) -> QuasipolarWitness:
         if isinstance(a.ring, TruncatedSeriesRing):
             return quasipolar_witness_m2_series(a)
         return quasipolar_witness_m2(a)
-    if not _has_no_middles(shape):
+    if not shape.has_no_middles:
         raise UnsupportedShape(
             f"no constructive decomposition for shape {shape.name}; "
             "supported: T2, T3, L3, LOW3, UP3, S1, S2, M2"

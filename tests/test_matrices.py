@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import time
@@ -15,7 +16,6 @@ from qpolar import (
     ShapedMatrix,
     ShapeMismatch,
     TruncatedSeriesRing,
-    UnsupportedShape,
     char_poly_2x2,
     get_view,
     matrix_from_json,
@@ -23,7 +23,8 @@ from qpolar import (
     parse_ring,
     parse_shape,
 )
-from qpolar.matrices import MAX_TN_SIZE, UP3, Shape
+from qpolar.matrices import L3, MAX_TN_SIZE, UP3, Shape
+from qpolar.oracle import KEY_PRODUCT_CAP, FiniteRingView
 
 from qpolar.rings import _ModularRing
 
@@ -94,8 +95,8 @@ def test_scale_is_entrywise(z4):
 
 
 # A closed block mask, [a b 0; c d 0; 0 0 e]: neither triangular nor the
-# full 2x2 mask, so it has no unit or radical test (a diagonal reading
-# disagrees with the oracle on 4 of its 32 keys over F2).
+# full 2x2 mask (a diagonal reading disagrees with the oracle on 4 of its
+# 32 keys over F2).
 BLOCK = Shape("B", 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}))
 
 
@@ -105,27 +106,105 @@ BLOCK = Shape("B", 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}))
     ids=lambda x: getattr(x, "name", x),
 )
 def test_unit_and_radical_tests_match_exhaustive_search(ring, shape):
-    # The mask decides each test: the diagonal on a triangular mask, det
-    # and entries on the full 2x2 mask, none on any other.
+    # One block rule decides both tests on every closed mask.
     view = get_view(parse_ring(ring), shape)
     for key in view.keys:
         a = view.value_of(key)
-        if shape is BLOCK:
-            with pytest.raises(UnsupportedShape):
-                a.is_unit()
-            with pytest.raises(UnsupportedShape):
-                a.in_jacobson()
-            continue
         assert a.is_unit() == (key in view.units)
         assert a.in_jacobson() == (key in view.jacobson_keys)
 
 
-def test_m3_has_no_unit_or_radical_test(z4):
-    a = ShapedMatrix.identity(z4, M3)
-    with pytest.raises(UnsupportedShape):
-        a.is_unit()
-    with pytest.raises(UnsupportedShape):
-        a.in_jacobson()
+def _closed_3x3_masks():
+    """Every 3x3 mask holding the diagonal and closed under products."""
+    off = [(i, j) for i in range(3) for j in range(3) if i != j]
+    for picks in itertools.product((False, True), repeat=len(off)):
+        mask = {(i, i) for i in range(3)} | {p for p, on in zip(off, picks) if on}
+        if all((i, j) in mask for (i, k) in mask for (k2, j) in mask if k == k2):
+            yield frozenset(mask)
+
+
+def _oracle_mismatches(ring, masks):
+    # A fresh view per mask, so no carrier outlives its check.
+    bad = []
+    for mask in masks:
+        view = FiniteRingView(ring, Shape("X", 3, mask))
+        units, radical = view.units, view.jacobson_keys
+        for key in view.keys:
+            a = view.value_of(key)
+            if a.is_unit() != (key in units) or a.in_jacobson() != (key in radical):
+                bad.append((sorted(mask), a))
+    return bad
+
+
+def test_every_closed_3x3_mask_matches_the_oracle_over_f2():
+    masks = list(_closed_3x3_masks())
+    assert len(masks) == 29 and M3.mask in masks and BLOCK.mask in masks
+    assert _oracle_mismatches(parse_ring("F2"), masks) == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ring", ["F3", "Z2^2"])
+def test_every_closed_3x3_mask_under_the_key_cap_matches_the_oracle(ring):
+    # F3: the 28 masks other than M3; Z2^2: the 22 with at most 6 positions.
+    r = parse_ring(ring)
+    masks = [m for m in _closed_3x3_masks() if r.cardinality() ** (2 * len(m)) <= KEY_PRODUCT_CAP]
+    assert len(masks) == {"F3": 28, "Z2^2": 22}[ring]
+    assert _oracle_mismatches(r, masks) == []
+
+
+def test_shape_refuses_a_mask_not_closed_under_products():
+    # E12 * E23 = E13, off this mask: the product would drop it silently.
+    mask = frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)})
+    with pytest.raises(ShapeMismatch, match="not closed"):
+        Shape("X", 3, mask)
+    assert Shape("X", 3, mask | {(0, 2)}).mask == TN(3).mask
+    start = time.perf_counter()
+    Shape("X", MAX_TN_SIZE, TN(MAX_TN_SIZE).mask)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_shape_data_is_built_once_per_shape():
+    assert TN(5) is TN(5)
+    for attr in ("positions", "flat_terms", "has_no_middles", "symmetric", "blocks"):
+        assert getattr(TN(5), attr) is getattr(TN(5), attr)
+    assert TN(3).blocks == ((0,), (1,), (2,)) and TN(3).symmetric == ((0, 0), (1, 1), (2, 2))
+    assert BLOCK.blocks == ((0, 1), (2,)) and M3.blocks == ((0, 1, 2),)
+
+
+def _scalar_calls(monkeypatch, ring, test):
+    """The ring's is_unit and in_jacobson calls that test() makes, in order."""
+    calls = []
+    for name in ("is_unit", "in_jacobson"):
+        def record(x, name=name, inner=getattr(ring, name)):
+            calls.append((name, x))
+            return inner(x)
+        monkeypatch.setattr(ring, name, record)
+    test()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("shape", [T3, L3, UP3, M2], ids=lambda s: s.name)
+def test_block_rule_makes_the_diagonal_rules_scalar_calls(monkeypatch, shape):
+    # A triangular mask makes exactly the diagonal rule's calls; M2 makes
+    # at most two is_unit calls more than det2 and the entrywise radical test.
+    ring, n = parse_ring("Z2^2"), shape.n
+    for values in itertools.product(list(ring.elements()), repeat=len(shape.mask)):
+        given = dict(zip(shape.positions, values))
+        a = ShapedMatrix.from_rows(ring, shape, [[given.get((i, j), 0) for j in range(n)] for i in range(n)])
+        unit = _scalar_calls(monkeypatch, ring, a.is_unit)
+        radical = _scalar_calls(monkeypatch, ring, a.in_jacobson)
+        if shape is M2:
+            det2 = _scalar_calls(monkeypatch, ring, lambda: a.det2().is_unit())
+            assert len(det2) <= len(unit) <= len(det2) + 2
+            entries = [x for row in a.rows for x in row]
+            assert radical == _scalar_calls(
+                monkeypatch, ring, lambda: all(x.in_jacobson() for x in entries))
+        else:
+            assert unit == _scalar_calls(
+                monkeypatch, ring, lambda: all(d.is_unit() for d in a.diagonal()))
+            assert radical == _scalar_calls(
+                monkeypatch, ring, lambda: all(d.in_jacobson() for d in a.diagonal()))
 
 
 def test_char_poly_frozen_examples(z4):

@@ -72,7 +72,10 @@ class Shape:
     mask: frozenset
 
     def __post_init__(self):
-        for i in range(self.n):
+        grid = range(self.n)
+        if not all(i in grid and j in grid for i, j in self.mask):
+            raise ShapeMismatch(f"shape {self.name} has a position off its {self.n}x{self.n} grid")
+        for i in grid:
             if (i, i) not in self.mask:
                 raise ShapeMismatch(f"shape {self.name} is missing diagonal ({i},{i})")
         if not self.closed_under_product():

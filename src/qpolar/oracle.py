@@ -22,8 +22,11 @@ plain tuple and list operations.  The ring itself is the view of
 ``TN(1)``: one position, so each key is one scalar index.  Its key arithmetic is generated per
 view: one straight-line function each for product, sum and difference,
 written from the shape's product terms as nested lookups in the scalar
-tables.  Every key product still goes through the class-level
-``FiniteRingView._mul``, so wrapping that one method counts them all.
+tables, and from the same terms one list comprehension each for a row
+``[a*b for b in bs]`` and a column ``[b*a for b in bs]``.  The scans over
+a carrier take a whole row per call, through the class-level
+``FiniteRingView._mul_row`` and ``_mul_col``; single products go through
+``_mul``.  Wrapping those three methods counts every key product.
 
 A corner of N keys costs N^2 key products for its units and its
 commutation relation together, and keeps the relation as N^2 flag bytes.
@@ -51,13 +54,17 @@ class NotIdempotent(QpolarError):
     """corner_validate was handed an e with e*e != e."""
 
 
-def _straight_line(npos: int, slots: list, tables: dict):
+def _straight_line(npos: int, slots: list, tables: dict, hoist: str = ""):
     """Compile ``f(a, b)`` returning the tuple of ``slots``, expressions in
-    the tables and the scalar indices ``a0, b0, a1, b1, ...`` of the keys."""
+    the tables and the scalar indices ``a0, b0, a1, b1, ...`` of the keys.
+    With ``hoist``, statements run once per call, compile instead ``f(a, bs)``
+    returning the list of those tuples, one per key b in ``bs``."""
     a = "".join(f"a{i}, " for i in range(npos))
     b = "".join(f"b{i}, " for i in range(npos))
+    value = f"({', '.join(slots)},)"
+    body = f"{hoist}\n return [{value} for {b}in b]" if hoist else f"{b}= b\n return {value}"
     namespace = dict(tables)
-    exec(f"def f(a, b):\n {a}= a\n {b}= b\n return ({', '.join(slots)},)", namespace)
+    exec(f"def f(a, b):\n {a}= a\n {body}", namespace)
     return namespace["f"]
 
 
@@ -102,21 +109,22 @@ class _Corner:
     both the units (by two-sided inverses) and the relation a*b == b*a.
     """
 
-    __slots__ = ("identity", "carrier", "units", "commuting", "_jacobson", "_view")
+    __slots__ = ("identity", "carrier", "units", "commuting", "_jacobson", "_units_minus_e",
+                 "_view")
 
     def __init__(self, view: FiniteRingView, e_key, carrier: tuple):
         self._view = view
         self.identity = e_key
         self.carrier = carrier
-        mul = view._mul
+        mul, mul_row, mul_col = view._mul, view._mul_row, view._mul_col
         n = len(carrier)
         flags = bytearray(n * n)
         rights = set()
         lefts = set()
         for i, a in enumerate(carrier):
             rest = carrier[i + 1 :]
-            ab = [mul(a, b) for b in rest]
-            ba = [mul(b, a) for b in rest]
+            ab = mul_row(a, rest)
+            ba = mul_col(a, rest)
             commute = bytes(map(eq, ab, ba))
             # Row i right of the diagonal, and column i below it.
             row = i * n
@@ -134,29 +142,30 @@ class _Corner:
         flags[:: n + 1] = b"\x01" * n
         self.units = frozenset(rights & lefts)
         self.commuting = _Relation(carrier, flags)
-        self._jacobson = None
+        self._jacobson = self._units_minus_e = None
 
     @property
     def jacobson(self) -> frozenset:
-        # x radical iff e - x*y is a corner unit for every corner y.
+        # x radical iff e - x*y is a corner unit for every corner y, that is,
+        # iff the row x*y lies in e - U.  y = e (x*e = x) is tested first.
         if self._jacobson is None:
             view = self._view
-            mul, sub = view._mul, view._sub
-            e_key = self.identity
-            units = self.units
-            out = []
-            for x in self.carrier:
-                if all(sub(e_key, mul(x, y)) in units for y in self.carrier):
-                    out.append(x)
-            self._jacobson = frozenset(out)
+            sub, e_key, units = view._sub, self.identity, self.units
+            shifted = {sub(e_key, u) for u in units}
+            self._jacobson = frozenset(
+                x for x in self.carrier
+                if sub(e_key, x) in units and shifted.issuperset(view._mul_row(x, self.carrier))
+            )
         return self._jacobson
 
     def is_qnil(self, a, commuting) -> bool:
         """a is quasinilpotent here: e + a*x is a corner unit for every x in
-        ``commuting``, the corner elements that commute with a."""
-        mul, add = self._view._mul, self._view._add
-        e_key, units = self.identity, self.units
-        return all(add(e_key, mul(a, x)) in units for x in commuting)
+        ``commuting``, the corner elements that commute with a; that is, the
+        row a*x lies in U - e."""
+        if self._units_minus_e is None:
+            sub = self._view._sub
+            self._units_minus_e = {sub(u, self.identity) for u in self.units}
+        return self._units_minus_e.issuperset(self._view._mul_row(a, commuting))
 
 
 class FiniteRingView:
@@ -193,17 +202,26 @@ class FiniteRingView:
         diag = [pos_index[(i, i)] for i in range(shape.n)]
 
         # A sum starts at its first term; adding it to zero changes nothing.
-        prods = []
-        for (ia, ib), *rest in self._prod_terms:
-            expr = f"M[a{ia}][b{ib}]"
-            for ia, ib in rest:
-                expr = f"A[{expr}][M[a{ia}][b{ib}]]"
-            prods.append(expr)
-        tables = {"A": self._add_s, "M": self._mul_s, "N": self._neg_s}
+        def sums(term):
+            out = []
+            for (ia, ib), *rest in self._prod_terms:
+                expr = term(ia, ib)
+                for ia, ib in rest:
+                    expr = f"A[{expr}][{term(ia, ib)}]"
+                out.append(expr)
+            return out
+
+        transposed = [list(col) for col in zip(*self._mul_s)]
+        tables = {"A": self._add_s, "M": self._mul_s, "N": self._neg_s, "T": transposed}
         slots = range(npos)
-        self._mul_k = _straight_line(npos, prods, tables)
+        self._mul_k = _straight_line(npos, sums(lambda i, j: f"M[a{i}][b{j}]"), tables)
         self._add_k = _straight_line(npos, [f"A[a{i}][b{i}]" for i in slots], tables)
         self._sub_k = _straight_line(npos, [f"A[a{i}][N[b{i}]]" for i in slots], tables)
+        # A row a*b hoists M[a_i]; a column b*a reads M[b_i][a_j] as T[a_j][b_i].
+        self._row_k = _straight_line(npos, sums(lambda i, j: f"r{i}[b{j}]"), tables,
+                                     "; ".join(f"r{i} = M[a{i}]" for i in slots))
+        self._col_k = _straight_line(npos, sums(lambda i, j: f"c{j}[b{i}]"), tables,
+                                     "; ".join(f"c{i} = T[a{i}]" for i in slots))
 
         self.keys = tuple(product(range(ns), repeat=npos))
         z, o = self._zero_s, self._one_s
@@ -216,10 +234,17 @@ class FiniteRingView:
         self._corners: dict = {}
 
     # -- key arithmetic ----------------------------------------------------
-    # Class-level, so that wrapping FiniteRingView._mul sees every product.
+    # Class-level, so that wrapping FiniteRingView._mul, _mul_row and _mul_col
+    # sees every product.
 
     def _mul(self, a, b):
         return self._mul_k(a, b)
+
+    def _mul_row(self, a, bs) -> list:
+        return self._row_k(a, bs)  # [a*b for b in bs]
+
+    def _mul_col(self, a, bs) -> list:
+        return self._col_k(a, bs)  # [b*a for b in bs]
 
     def _add(self, a, b):
         return self._add_k(a, b)
@@ -252,8 +277,7 @@ class FiniteRingView:
     def inverse_key(self, key):
         if key not in self.units:
             return None
-        mul, one = self._mul, self.one_key
-        return next(b for b in self.keys if mul(key, b) == one)
+        return self.keys[self._mul_row(key, self.keys).index(self.one_key)]
 
     @property
     def idempotent_keys(self) -> tuple:
@@ -273,8 +297,8 @@ class FiniteRingView:
         # then that corner's relation, which holds every key.
         got = self._comm_cache.get(a)
         if got is None:
-            mul = self._mul
-            got = tuple(x for x in self.keys if mul(a, x) == mul(x, a))
+            keys = self.keys
+            got = tuple(compress(keys, map(eq, self._mul_row(a, keys), self._mul_col(a, keys))))
             self._comm_cache[a] = got
         return got
 
@@ -296,32 +320,31 @@ class FiniteRingView:
         return got
 
     def quasipolar_search_keys(self, a) -> tuple:
-        mul, add = self._mul, self._add
-        units = self.units
+        add, units, idems = self._add, self.units, self.idempotent_keys
         found = []
-        for p in self.idempotent_keys:
-            if mul(p, a) != mul(a, p):
+        # p*a and a*p for every idempotent p, as one column and one row.
+        for p, pa, ap in zip(idems, self._mul_col(a, idems), self._mul_row(a, idems)):
+            if pa != ap:
                 continue
             if not self.in_double_commutant(p, a):
                 continue
             if add(a, p) not in units:
                 continue
-            if not self.is_qnil_key(mul(a, p)):
+            if not self.is_qnil_key(ap):
                 continue
             found.append(p)
         return tuple(found)
 
     def rad_clean_search_keys(self, a) -> tuple:
         mul, sub = self._mul, self._sub
-        units = self.units
+        units, idems = self.units, self.idempotent_keys
         found = []
-        for e in self.idempotent_keys:
-            if mul(e, a) != mul(a, e):
+        for e, ea, ae in zip(idems, self._mul_col(a, idems), self._mul_row(a, idems)):
+            if ea != ae:
                 continue
             if sub(a, e) not in units:
                 continue
-            corner = self._corner(e)
-            if mul(mul(e, a), e) in corner.jacobson:
+            if mul(ea, e) in self._corner(e).jacobson:
                 found.append(e)
         return tuple(found)
 
@@ -331,8 +354,8 @@ class FiniteRingView:
             if e_key == self.one_key:
                 carrier = self.keys  # 1*k*1 = k: no products needed
             else:
-                mul = self._mul
-                carrier = tuple(dict.fromkeys(mul(mul(e_key, k), e_key) for k in self.keys))
+                row = self._mul_row(e_key, self.keys)
+                carrier = tuple(dict.fromkeys(self._mul_col(e_key, row)))
             got = self._corners[e_key] = _Corner(self, e_key, carrier)
             if e_key == self.one_key:
                 self._comm_cache = got.commuting

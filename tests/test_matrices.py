@@ -163,6 +163,14 @@ def test_shape_refuses_a_mask_not_closed_under_products():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("off", [(0, 5), (2, 0), (-1, 0), (0, -1)])
+def test_shape_refuses_a_position_off_its_grid(off):
+    # (0,5) once raised a bare IndexError from the closure check; a negative
+    # index would have read another row.
+    with pytest.raises(ShapeMismatch, match="off its 2x2 grid"):
+        Shape("X", 2, frozenset({(0, 0), (1, 1), off}))
+
+
 def test_shape_data_is_built_once_per_shape():
     assert TN(5) is TN(5)
     for attr in ("positions", "flat_terms", "has_no_middles", "symmetric", "blocks"):

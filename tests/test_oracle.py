@@ -6,6 +6,7 @@ key arithmetic against direct matrix arithmetic.
 """
 
 import random
+from itertools import repeat
 
 import pytest
 
@@ -57,16 +58,22 @@ def scalar(x):
 
 
 def count_key_products(monkeypatch) -> list:
-    """A list that grows by one per key product, on fresh views."""
+    """A list that grows by one per key product, on fresh views: one per
+    ``_mul`` call, and the length of each ``_mul_row`` or ``_mul_col`` result."""
     monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
     calls = []
-    mul = FiniteRingView._mul
 
-    def counted(self, a, b):
-        calls.append(None)
-        return mul(self, a, b)
+    def counted(kernel, size):
+        def wrapper(self, a, b):
+            out = kernel(self, a, b)
+            calls.extend(repeat(None, size(out)))
+            return out
 
-    monkeypatch.setattr(FiniteRingView, "_mul", counted)
+        return wrapper
+
+    monkeypatch.setattr(FiniteRingView, "_mul", counted(FiniteRingView._mul, lambda _: 1))
+    for name in ("_mul_row", "_mul_col"):
+        monkeypatch.setattr(FiniteRingView, name, counted(getattr(FiniteRingView, name), len))
     return calls
 
 
@@ -322,16 +329,32 @@ def loop_sub(view, a, b):
 
 class TestGeneratedKernels:
     @pytest.mark.parametrize(
-        "shape", KERNEL_SHAPES + (TN(1),), ids=lambda s: "scalar" if s.n == 1 else s.name
+        "case",
+        [(s, "F2") for s in KERNEL_SHAPES] + [(TN(1), "Z8"), (M2, "Z4")],
+        ids=lambda c: "scalar" if c[0].n == 1 else c[0].name + ("" if c[1] == "F2" else "-Z2^2"),
     )
-    def test_equal_to_the_loop_on_every_key_pair(self, f2, z8, shape):
-        # Every matrix shape over F2; the scalars, as TN1, over Z/8.
-        view = FiniteRingView(z8 if shape.n == 1 else f2, shape)
-        for a in view.keys:
-            for b in view.keys:
+    def test_equal_to_the_loop_on_every_key_pair(self, f2, z4, z8, case):
+        # Every matrix shape over F2; the scalars, as TN1, over Z/8; M2 over
+        # Z2^2, where a row a*b and a column b*a differ.
+        shape, name = case
+        view = FiniteRingView({"F2": f2, "Z4": z4, "Z8": z8}[name], shape)
+        keys = view.keys
+        for a in keys:
+            for b in keys:
                 assert view._mul(a, b) == loop_mul(view, a, b)
                 assert view._add(a, b) == loop_add(view, a, b)
                 assert view._sub(a, b) == loop_sub(view, a, b)
+            assert view._mul_row(a, keys) == [loop_mul(view, a, b) for b in keys]
+            assert view._mul_col(a, keys) == [loop_mul(view, b, a) for b in keys]
+            assert view._mul_row(a, ()) == view._mul_col(a, []) == []
+        # A row over a sub-corner carrier e*R*e, in carrier order.
+        e = next((e for e in view.idempotent_keys if e not in (view.zero_key, view.one_key)), None)
+        if e is not None:
+            carrier = view._corner(e).carrier
+            assert 1 < len(carrier) < len(keys)
+            for a in carrier:
+                assert view._mul_row(a, carrier) == [loop_mul(view, a, b) for b in carrier]
+                assert view._mul_col(a, carrier) == [loop_mul(view, b, a) for b in carrier]
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=lambda s: s.name)
     def test_agree_with_matrix_arithmetic(self, z4, shape):
@@ -350,13 +373,20 @@ class TestGeneratedKernels:
             # N^2 for N = 243: the whole-ring corner's one pass, whose
             # relation answers every comm^2 check.
             (t3_case_sweep, PrimeField(3), 59_049),
+            # N^2 for N = 1,024: the key-product baseline of a seed-1
+            # oracle-sweep pass (2,344,960 before the one-pass corner).
+            (t3_case_sweep, IntegersMod(2, 2), 1_048_576),
+            # 296,960 and 81,696 before the search read p*a and a*p as one
+            # column and one row, reusing a*p for the qnil test (-512 and
+            # -288), and before each qnil test computed its whole row instead
+            # of stopping at the first non-unit (+0 and +384).
             # 1,078,144 and 245,376 while each comm^2 check scanned
             # commutants; 1,172,352 and 258,176 before that, while each
             # witness was rechecked on top of the search that subsumes it.
-            (t2_exhaustive_sweep, IntegersMod(2, 3), 296_960),
-            (m2_agreement_sweep, IntegersMod(2, 2), 81_696),
+            (t2_exhaustive_sweep, IntegersMod(2, 3), 296_448),
+            (m2_agreement_sweep, IntegersMod(2, 2), 81_792),
         ],
-        ids=["t3-case-F3", "t2-exhaustive-Z2^3", "m2-agreement-Z2^2"],
+        ids=["t3-case-F3", "t3-case-Z2^2", "t2-exhaustive-Z2^3", "m2-agreement-Z2^2"],
     )
     def test_sweep_costs_pinned_key_products(self, monkeypatch, sweep, ring, products):
         # A cost pin: commutants come from the products the unit scan makes
@@ -475,13 +505,16 @@ class TestWholeRingCorner:
                     pairs += 1
         assert pairs > len(view.keys)
 
-    def test_t3_rad_clean_sweep_over_f3_costs_103595_key_products(self, monkeypatch):
+    def test_t3_rad_clean_sweep_over_f3_costs_115580_key_products(self, monkeypatch):
         # The unit scan runs once per view, shared by units, the radical
-        # and every qnil test through the corner at one.
+        # and every qnil test through the corner at one.  103,595 while the
+        # radical scan stopped at the first y with e - x*y no unit; each
+        # survivor of the y = e test now computes its whole row (+12,561),
+        # and the search reuses e*a for e*a*e (-576).
         calls = count_key_products(monkeypatch)
         report = t3_rad_clean_sweep(PrimeField(3))
         assert not report.failures
-        assert len(calls) == 103_595
+        assert len(calls) == 115_580
         view = get_view(PrimeField(3), T3)
         assert view.units is view._corner(view.one_key).units
 

@@ -29,11 +29,11 @@ blocks, so its diagonal decides; the full 2x2 mask is one block.  M3 has
 both tests but no engine (see :mod:`qpolar.triangular`).
 
 Products, sums and differences go through the ring's ``raw``/``cook``
-hooks (see :mod:`qpolar.rings`): each entry is unwrapped once and each
-result entry is cooked once.  A product sums raw values over the
-shape's product terms and puts the ring's zero off the mask; sums and
-differences combine every entry.  Shapes compare by value, never by
-name.
+hooks (see :mod:`qpolar.rings`): each entry's raw value is read once (a
+series' is its stored tuple) and each result entry is cooked once.  A
+product sums raw values over the shape's product terms and puts the
+ring's zero off the mask; sums and differences combine every entry.
+Shapes compare by value, never by name.
 """
 
 from __future__ import annotations

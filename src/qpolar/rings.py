@@ -14,25 +14,26 @@ the Jacobson radical; ``in_jacobson`` is defined as ``not is_unit`` and
 the tests exercise that dichotomy exhaustively on the finite kinds.
 
 Elements are immutable wrappers around a canonical payload: an integer
-residue in [0, p^k), a reduced ``fractions.Fraction``, or a tuple of m
-base-ring coefficients.  All arithmetic is exact; nothing here floats.
-Each ring builds its ``zero`` and ``one`` once, when it is constructed.
+residue in [0, p^k) or a reduced ``fractions.Fraction``.  A series holds
+its raw coefficients (below) and builds ``payload``, its m base-ring
+elements, on first read; its equality and hash read the raw tuple.
 
-Arithmetic is defined once, on two hooks: ``raw(a)`` gives the value to
-compute with and ``cook(x)`` turns a sum, difference or product of such
-values back into a canonical element, once per result.  The element
-operators are built on them (``a * b`` is ``cook(raw(a) * raw(b))``,
-and so for + and unary -), as are the matrix, series and lift
-kernels, which cook once per entry or coefficient.  ``F<p>`` and
-``Z<p>^<k>`` compute with ``int`` residues and cook reduces modulo p^k.
-``Zloc<p>`` computes with the ``int`` numerator when a value is
-integral and with its ``Fraction`` otherwise (the two mix exactly under
-+ and *, and p-local fractions are closed under both); cook makes the
-result a ``Fraction`` again.  A series' raw value is the list of its
-coefficients' raw values, with truncated +, - and *, so series
-arithmetic, a series over a series and a matrix entry's sum of
-products all cook each coefficient once.  Series payloads stay tuples
-of base-ring elements.
+Arithmetic is defined once, on hooks: ``raw(a)`` gives the value to
+compute with, ``cook(x)`` turns a sum, difference or product of such
+values back into a canonical element, once per result, and ``normal(x)``
+gives that element's raw value.  The element operators are built on
+them (``a * b`` is ``cook(raw(a) * raw(b))``, and so for + and unary -),
+as are the matrix, series and lift kernels, which cook once per entry.
+``F<p>`` and ``Z<p>^<k>`` compute with ``int`` residues and normalise
+modulo p^k.  ``Zloc<p>`` computes with the ``int`` numerator when a
+value is integral and with its ``Fraction`` otherwise (the two mix
+exactly under + and *, and p-local fractions are closed under both);
+normal makes an integral result an ``int``, cook a ``Fraction``.  A
+series' raw value is the tuple of its coefficients' raw values, with
+truncated +, - and *; cook normalises each coefficient once, so series
+arithmetic, a series over a series and a matrix entry's sum of products
+build no base-ring element.  All arithmetic is exact; nothing floats.
+Each ring builds its ``zero`` and ``one`` once, when it is constructed.
 
 A ring is identified by its spelling, the text ``parse_ring`` reads
 back, so ``F2`` and ``Z2^1`` differ.  An ``int`` becomes an element
@@ -263,6 +264,10 @@ class LocalRing:
         """The canonical element for a raw sum or product x."""
         return RingElement(self, x)
 
+    def normal(self, x):
+        """The canonical raw value of a raw sum or product x."""
+        return self.raw(self.cook(x))
+
     def _build_constants(self) -> None:
         self._zero, self._one = self.element(0), self.element(1)
 
@@ -300,6 +305,9 @@ class _ModularRing(LocalRing):
 
     def cook(self, x):
         return RingElement(self, x % self.modulus)
+
+    def normal(self, x):
+        return x % self.modulus
 
     def is_unit(self, a):
         return a.payload % self.p != 0
@@ -374,6 +382,9 @@ class LocalizedIntegers(LocalRing):
     def cook(self, x):
         return RingElement(self, x if type(x) is Fraction else Fraction(x))
 
+    def normal(self, x):
+        return x.numerator if x.denominator == 1 else x
+
     def is_unit(self, a):
         return a.payload.numerator % self.p != 0
 
@@ -393,7 +404,7 @@ class LocalizedIntegers(LocalRing):
         return False
 
 
-class _RawSeries(list):
+class _RawSeries(tuple):
     """A series' raw coefficients (base ``raw`` values), constant term first.
 
     ``+``, ``-`` and ``*`` take operands of one length and truncate there.
@@ -428,10 +439,35 @@ class _RawSeries(list):
         return _RawSeries(out)
 
 
+class _SeriesElement(RingElement):
+    """A series by its m canonical raw ``coeffs``; ``payload`` is built when read."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, ring: TruncatedSeriesRing, coeffs: _RawSeries):
+        self.ring = ring
+        self.coeffs = coeffs
+
+    def __getattr__(self, name):  # only while the payload slot is unset
+        if name != "payload":
+            raise AttributeError(name)
+        self.payload = tuple(map(self.ring.base.cook, self.coeffs))
+        return self.payload
+
+    def __eq__(self, other):
+        o = other if isinstance(other, RingElement) else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (o.ring is self.ring or o.ring == self.ring) and o.coeffs == self.coeffs
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
+
+
 class TruncatedSeriesRing(LocalRing):
     """base[[x]]/(x^m): power series in x over ``base``, truncated at x^m.
 
-    Payloads are tuples of exactly m base-ring elements, constant term
+    Elements hold exactly m canonical raw coefficients, constant term
     first.  A series is a unit iff its constant term is; inverses are
     computed coefficient by coefficient from the convolution identity.
     """
@@ -453,7 +489,7 @@ class TruncatedSeriesRing(LocalRing):
         if isinstance(value, (list, tuple)):
             coeffs = [self.base.element(c) for c in value[: self.precision]]
             coeffs += [self.base.zero] * (self.precision - len(coeffs))
-            return RingElement(self, tuple(coeffs))
+            return _SeriesElement(self, _RawSeries(map(self.base.raw, coeffs)))
         return super().element(value)
 
     def parse(self, text: str) -> RingElement:
@@ -494,37 +530,39 @@ class TruncatedSeriesRing(LocalRing):
                 c = -c
             if power < self.precision:
                 coeffs[power] = coeffs[power] + c
-        return RingElement(self, tuple(coeffs))
+        return _SeriesElement(self, _RawSeries(map(self.base.raw, coeffs)))
 
     def raw(self, a):
-        return _RawSeries(map(self.base.raw, a.payload))
+        return a.coeffs
+
+    def normal(self, x):
+        return _RawSeries(map(self.base.normal, x))
 
     def cook(self, x):
-        cook, zero = self.base.cook, self.base.zero
-        return RingElement(self, tuple([cook(c) if c else zero for c in x]))
+        return _SeriesElement(self, self.normal(x))
+
+    def constant_term(self, a) -> RingElement:
+        return self.base.cook(a.coeffs[0])
 
     def is_unit(self, a):
-        return a.payload[0].is_unit()
+        return self.base.is_unit(self.constant_term(a))
 
     def inverse(self, a):
         # b0 = a0^-1, then a*b = 1 forces b_i = -a0^-1 * sum a_k b_{i-k}.
         if not self.is_unit(a):
             raise NotAUnit(f"{a!r} is not a unit in {self}")
         base = self.base
-        raw, cook = base.raw, base.cook
-        xs, zero = self.raw(a), raw(base.zero)
-        out = [base.inverse(a.payload[0])]
-        bs = [raw(out[0])]
+        normal, xs, zero = base.normal, a.coeffs, base.raw(base.zero)
+        bs = [base.raw(base.inverse(self.constant_term(a)))]
         for i in range(1, self.precision):
             s = sum((xs[k] * bs[i - k] for k in range(1, i + 1) if xs[k]), zero)
-            out.append(cook(-(bs[0] * s)))
-            bs.append(raw(out[-1]))
-        return RingElement(self, tuple(out))
+            bs.append(normal(-(bs[0] * s)))
+        return self.cook(bs)
 
     def elements(self):
-        base_elems = list(self.base.elements())
-        for combo in product(base_elems, repeat=self.precision):
-            yield RingElement(self, combo)
+        raws = [self.base.raw(x) for x in self.base.elements()]
+        for combo in product(raws, repeat=self.precision):
+            yield _SeriesElement(self, _RawSeries(combo))
 
     def cardinality(self):
         return self.base.cardinality() ** self.precision

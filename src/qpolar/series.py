@@ -90,27 +90,24 @@ def lift_root(sq: SeriesQuadratic, b0) -> RingElement:
     b0 = base.element(b0) if not isinstance(b0, RingElement) else b0
     if b0.ring is not base:
         raise UnsupportedShape(f"seed must live in {base!r}")
-    mu, lam = sq.mu.payload, sq.lam.payload
-    if b0 * b0 - b0 * mu[0] - lam[0] != base.zero:
+    mu0 = ring.constant_term(sq.mu)
+    if b0 * b0 - b0 * mu0 - ring.constant_term(sq.lam) != base.zero:
         raise BadSeed(f"{b0!r} is not a root of the constant quadratic")
-    pivot = b0 + b0 - mu[0]
+    pivot = b0 + b0 - mu0
     if not pivot.is_unit():
-        raise PivotNotUnit(f"2*{b0!r} - {mu[0]!r} is not a unit in {base!r}")
-    raw, cook = base.raw, base.cook
-    inv = raw(pivot.inverse())
-    mu, lam = [raw(c) for c in mu], [raw(c) for c in lam]
+        raise PivotNotUnit(f"2*{b0!r} - {mu0!r} is not a unit in {base!r}")
+    inv = base.raw(pivot.inverse())
+    normal, mu, lam = base.normal, ring.raw(sq.mu), ring.raw(sq.lam)
 
-    b = [b0]
-    rb = [raw(b0)]
+    rb = [base.raw(b0)]
     for i in range(1, ring.precision):
         acc = lam[i]
         for k in range(i):
             acc = acc + rb[k] * mu[i - k]
         for k in range(1, i):
             acc = acc - rb[k] * rb[i - k]
-        b.append(cook(inv * acc))
-        rb.append(raw(b[-1]))
-    y = ring.element(b)
+        rb.append(normal(inv * acc))
+    y = ring.cook(rb)
     if not sq.holds_for(y):
         raise WitnessInvalid(f"lifted {y!r} is not a root of the series quadratic")
     return y
@@ -126,7 +123,7 @@ def lift_split(chi: QuadraticCharPoly, ring: TruncatedSeriesRing) -> tuple:
     from .m2 import find_root_split
 
     base = ring.base
-    chi0 = QuadraticCharPoly(tr=chi.tr.payload[0], det=chi.det.payload[0])
+    chi0 = QuadraticCharPoly(tr=ring.constant_term(chi.tr), det=ring.constant_term(chi.det))
     try:
         alpha0, _ = find_root_split(chi0, base)
     except NotQuasipolarError as exc:
@@ -146,7 +143,7 @@ def constant_term_matrix(a: ShapedMatrix) -> ShapedMatrix:
     ring = a.ring
     if not isinstance(ring, TruncatedSeriesRing):
         raise UnsupportedShape(f"expected a series ring, got {ring!r}")
-    rows = [[x.payload[0] for x in row] for row in a.rows]
+    rows = [[ring.constant_term(x) for x in row] for row in a.rows]
     return ShapedMatrix.from_rows(ring.base, a.shape, rows)
 
 

@@ -355,8 +355,9 @@ class TestRawKernel:
 
     def test_series_product_cooks_each_coefficient_once(self, monkeypatch, z4):
         # A cost pin: an M2 product over series(Z2^2,8) sums each entry's
-        # products as raw coefficient lists and cooks the 4 entries' 8
-        # coefficients once, building no series element on the way.
+        # products as raw coefficient tuples and normalises the 4 entries'
+        # 8 coefficients once each, building no series element on the way
+        # and no base element at all.
         ring = TruncatedSeriesRing(z4, 8)
         entry = "1 + 3*x + 2*x^2 + x^3 + 3*x^4 + x^5 + 2*x^6 + 3*x^7"
         # Raw residues are non-negative and every entry's sum has a term
@@ -369,6 +370,7 @@ class TestRawKernel:
             (TruncatedSeriesRing, "mul"),
             (TruncatedSeriesRing, "add"),
             (_ModularRing, "cook"),
+            (_ModularRing, "normal"),
         ]:
             orig = getattr(cls, name)
 
@@ -378,7 +380,7 @@ class TestRawKernel:
 
             monkeypatch.setattr(cls, name, counted)
         got = a * b
-        assert calls == {"_ModularRing.cook": 32}
+        assert calls == {"_ModularRing.normal": 32}
         assert got == want
 
     def test_products_and_sums_make_no_wrapped_scalar_ops(self, monkeypatch, z4):

@@ -19,6 +19,7 @@ from qpolar import (
     RingParseError,
     ShapedMatrix,
     TruncatedSeriesRing,
+    matrix_from_json,
     parse_matrix,
     parse_ring,
     quasipolar_witness_shape,
@@ -411,11 +412,11 @@ class TestElementOps:
 
 
 # The RingElement loops the raw-payload series kernel replaced, kept as
-# the reference it must agree with.
+# the reference it must agree with; they build through ring.element.
 
 
 def loop_add(ring, a, b):
-    return RingElement(ring, tuple(x + y for x, y in zip(a.payload, b.payload)))
+    return ring.element(tuple(x + y for x, y in zip(a.payload, b.payload)))
 
 
 def loop_mul(ring, a, b):
@@ -428,11 +429,11 @@ def loop_mul(ring, a, b):
             bj = b.payload[j]
             if bj:
                 out[i + j] = out[i + j] + ai * bj
-    return RingElement(ring, tuple(out))
+    return ring.element(tuple(out))
 
 
 def loop_neg(ring, a):
-    return RingElement(ring, tuple(-c for c in a.payload))
+    return ring.element(tuple(-c for c in a.payload))
 
 
 def loop_inverse(ring, a):
@@ -445,7 +446,7 @@ def loop_inverse(ring, a):
             if ak:
                 s = s + ak * out[i - k]
         out.append(-(c0 * s))
-    return RingElement(ring, tuple(out))
+    return ring.element(tuple(out))
 
 
 def check_against_loops(ring, a, b):
@@ -576,3 +577,51 @@ class TestSeriesKernel:
         calls[0] = 0
         assert a * b == want
         assert calls[0] == 0
+
+
+REPRESENTATION_RINGS = ["series(F2,3)", "series(Z2^2,2)", "series(Zloc2,4)", "series(series(Zloc2,2),2)"]
+
+
+def representation_draws(ring):
+    """A finite ring's whole carrier; seeded integral and fractional draws otherwise."""
+    if ring.is_finite:
+        return list(ring.elements())
+    rng = random.Random(f"representation/{ring}")
+    return [random_element(rng, ring, integral) for integral in (True, False) * 60]
+
+
+class TestSeriesRepresentation:
+    # A series element holds its canonical raw coefficients; payload, the
+    # base elements bench/verify.py reads, is built from them on demand.
+
+    @pytest.mark.parametrize("spelling", REPRESENTATION_RINGS)
+    def test_payload_raw_and_cook_agree(self, spelling):
+        ring = parse_ring(spelling)
+        for x in representation_draws(ring):
+            assert all(isinstance(c, RingElement) and c.ring == ring.base for c in x.payload)
+            assert ring.raw(x) == tuple(map(ring.base.raw, x.payload))
+            back = ring.cook(ring.raw(x))
+            assert back == x and hash(back) == hash(x)
+            assert_canonical(x)
+
+    @pytest.mark.parametrize("spelling", REPRESENTATION_RINGS)
+    def test_equal_elements_hash_alike_however_built(self, spelling):
+        ring = parse_ring(spelling)
+        nested = isinstance(ring.base, TruncatedSeriesRing)  # its text does not parse back
+        for x in representation_draws(ring):
+            built = [x + ring.zero, (x + ring.one) - 1, -(-x), x * ring.one]
+            if not nested:
+                built.append(ring.parse(repr(x)))
+                data = {"ring": spelling, "shape": "M2", "rows": [[repr(x), "0"], ["0", "1"]]}
+                built.append(matrix_from_json(data).rows[0][0])
+            for y in built:
+                assert y == x and hash(y) == hash(x)
+        assert ring.one == 1 and 1 == ring.one and ring.zero == 0 and ring.zero != 1
+
+    def test_integral_zloc_coefficients_are_stored_as_ints(self):
+        ring = parse_ring("series(Zloc2,4)")
+        y = ring.parse("1/3*x") * 3
+        assert [type(c) for c in ring.raw(y)] == [int] * 4
+        assert y == ring.parse("x") and hash(y) == hash(ring.parse("x"))
+        assert y.payload[1].payload == Fraction(1)
+        assert type(ring.raw(ring.parse("1/3*x"))[1]) is Fraction

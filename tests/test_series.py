@@ -28,7 +28,8 @@ from qpolar import (
     quasipolar_witness_m2_series,
     quasipolar_witness_shape,
 )
-from qpolar.matrices import ShapedMatrix
+from qpolar.matrices import ShapedMatrix, parse_matrix
+from qpolar.rings import _SeriesElement
 from qpolar.oracle import FiniteRingView
 from qpolar.sweeps import oracle_recheck
 
@@ -212,3 +213,49 @@ class TestBleachedTransfer:
     def test_infinite_base_is_refused(self):
         with pytest.raises(InfiniteRing):
             check_bleached_series(LocalizedIntegers(2), 2)
+
+
+
+class TestSeriesCost:
+    # A cost pin: an M2 witness and a root lift read each series entry's
+    # raw coefficients and build a base element only for a constant term,
+    # so no lazy payload is read and the base cook count does not grow
+    # with the precision.
+    MATRICES = {
+        "Z2^2": "[1 + x + 3*x^2 + x^5, 2*x + x^3; 3 + x^4, 2 + x + 2*x^7]",
+        "Zloc2": "[1 + 1/3*x + x^5, 2*x + x^3; 3 + x^4, 2 + 5/7*x + 2*x^7]",
+    }
+
+    @staticmethod
+    def calls(monkeypatch, base, precision):
+        ring = TruncatedSeriesRing(base, precision)
+        a = parse_matrix(ring, M2, TestSeriesCost.MATRICES[repr(base)])
+        calls = {"cook": 0, "payload": 0}
+        cook, getattr_ = type(base).cook, _SeriesElement.__getattr__
+
+        def counted_cook(*args):
+            calls["cook"] += 1
+            return cook(*args)
+
+        def counted_getattr(x, name):
+            calls["payload"] += name == "payload"
+            return getattr_(x, name)
+
+        monkeypatch.setattr(type(base), "cook", counted_cook)
+        monkeypatch.setattr(_SeriesElement, "__getattr__", counted_getattr)
+        if isinstance(base, LocalizedIntegers):
+            alpha, beta = lift_split(char_poly_2x2(a), ring)
+            repr(alpha), repr(beta)
+        w = quasipolar_witness_shape(a)
+        report = w.to_dict()
+        monkeypatch.undo()
+        assert report["ok"]
+        zero = ShapedMatrix.from_rows(ring, M2, [[0, 0], [0, 0]])
+        assert w.p not in (zero, ShapedMatrix.from_rows(ring, M2, [[1, 0], [0, 1]]))  # split
+        return calls
+
+    @pytest.mark.parametrize("base", [IntegersMod(2, 2), LocalizedIntegers(2)], ids=repr)
+    def test_witness_and_lift_cook_no_coefficient(self, monkeypatch, base):
+        at8, at16 = (self.calls(monkeypatch, base, m) for m in (8, 16))
+        assert at8["payload"] == at16["payload"] == 0
+        assert at8["cook"] == at16["cook"]

@@ -107,13 +107,13 @@ def find_root_split(chi: QuadraticCharPoly, ring: LocalRing) -> tuple:
 
 def _zloc_root_split(chi: QuadraticCharPoly, ring: LocalizedIntegers) -> tuple:
     disc = chi.tr * chi.tr - 4 * chi.det
-    root = _fraction_sqrt(disc.payload)
+    root = _fraction_sqrt(disc.raw)
     if root is None:
         raise NotQuasipolarError(
             f"{chi} has no radical root in {ring!r}: "
             f"discriminant {disc!r} is not a rational square"
         )
-    tr = chi.tr.payload
+    tr = chi.tr.raw
     alpha = None
     for cand in ((tr + root) / 2, (tr - root) / 2):
         try:
@@ -133,7 +133,7 @@ def _zloc_root_split(chi: QuadraticCharPoly, ring: LocalizedIntegers) -> tuple:
     return alpha, beta
 
 
-def _fraction_sqrt(q: Fraction):
+def _fraction_sqrt(q: Fraction | int):
     if q < 0:
         return None
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)

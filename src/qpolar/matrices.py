@@ -28,9 +28,8 @@ entry at a symmetric position is.  A triangular mask has one-index
 blocks, so its diagonal decides; the full 2x2 mask is one block.  M3 has
 both tests but no engine (see :mod:`qpolar.triangular`).
 
-Products, sums and differences go through the ring's ``raw``/``cook``
-hooks (see :mod:`qpolar.rings`): each entry's raw value is read once (a
-series' is its stored tuple) and each result entry is cooked once.  A
+Products, sums and differences compute on the entries' stored ``raw``
+values and ``cook`` each result entry once (see :mod:`qpolar.rings`).  A
 product sums raw values over the shape's product terms and puts the
 ring's zero off the mask; sums and differences combine every entry.
 Shapes compare by value, never by name.
@@ -228,8 +227,7 @@ class ShapedMatrix:
             )
 
     def _flat_raw(self):
-        raw = self.ring.raw
-        return [raw(x) for row in self.rows for x in row]
+        return [x.raw for row in self.rows for x in row]
 
     def _from_flat(self, out) -> ShapedMatrix:
         # zip over n copies of one iterator regroups the flat list into rows.

@@ -13,27 +13,28 @@ Because every ring here is local, an element is either a unit or lies in
 the Jacobson radical; ``in_jacobson`` is defined as ``not is_unit`` and
 the tests exercise that dichotomy exhaustively on the finite kinds.
 
-Elements are immutable wrappers around a canonical payload: an integer
-residue in [0, p^k) or a reduced ``fractions.Fraction``.  A series holds
-its raw coefficients (below) and builds ``payload``, its m base-ring
-elements, on first read; its equality and hash read the raw tuple.
+An element is immutable and stores one canonical ``raw`` value, the value
+every kernel computes with: an ``int`` residue in [0, p^k) for ``F<p>``
+and ``Z<p>^<k>``; for ``Zloc<p>`` the ``int`` numerator of an integral
+value and the reduced ``Fraction`` otherwise (the two mix exactly under
++ and *, and p-local fractions are closed under both); for a series the
+tuple of its coefficients' raw values, constant term first, with
+truncated +, - and *.  Equality, hashing, truth and text read it.
 
-Arithmetic is defined once, on hooks: ``raw(a)`` gives the value to
-compute with, ``cook(x)`` turns a sum, difference or product of such
-values back into a canonical element, once per result, and ``normal(x)``
-gives that element's raw value.  The element operators are built on
-them (``a * b`` is ``cook(raw(a) * raw(b))``, and so for + and unary -),
-as are the matrix, series and lift kernels, which cook once per entry.
-``F<p>`` and ``Z<p>^<k>`` compute with ``int`` residues and normalise
-modulo p^k.  ``Zloc<p>`` computes with the ``int`` numerator when a
-value is integral and with its ``Fraction`` otherwise (the two mix
-exactly under + and *, and p-local fractions are closed under both);
-normal makes an integral result an ``int``, cook a ``Fraction``.  A
-series' raw value is the tuple of its coefficients' raw values, with
-truncated +, - and *; cook normalises each coefficient once, so series
-arithmetic, a series over a series and a matrix entry's sum of products
-build no base-ring element.  All arithmetic is exact; nothing floats.
-Each ring builds its ``zero`` and ``one`` once, when it is constructed.
+Each ring has one arithmetic hook, ``normal(x)``: the canonical raw value
+of a raw sum, difference or product x (reduced modulo p^k, an integral
+fraction as its numerator, a series coefficient by coefficient).
+``cook(x)`` wraps ``normal(x)`` in an element, once per result.  The
+element operators are built on it (``a * b`` is ``cook(a.raw * b.raw)``,
+and so for + and unary -), as are the matrix, series and lift kernels,
+which cook once per entry; so series arithmetic, a series over a series
+and a matrix entry's sum of products build no base-ring element.  All
+arithmetic is exact; nothing floats.  Each ring builds its ``zero`` and
+``one`` once, when it is constructed.
+
+``payload`` is an element as outside readers see it, from the ring's
+``payload`` hook: the residue ``int``, always a ``Fraction`` for
+``Zloc<p>``, and the tuple of base-ring elements for a series.
 
 A ring is identified by its spelling, the text ``parse_ring`` reads
 back, so ``F2`` and ``Z2^1`` differ.  An ``int`` becomes an element
@@ -98,14 +99,18 @@ class RingElement:
     """An element of a :class:`LocalRing`, with operator overloads.
 
     Integers coerce automatically (``a + 1`` works in any ring); elements
-    of distinct rings never mix.
+    of distinct rings never mix.  ``raw`` is the canonical raw value.
     """
 
-    __slots__ = ("ring", "payload")
+    __slots__ = ("ring", "raw")
 
-    def __init__(self, ring: LocalRing, payload):
+    def __init__(self, ring: LocalRing, raw):
         self.ring = ring
-        self.payload = payload
+        self.raw = raw
+
+    @property
+    def payload(self):
+        return self.ring.payload(self.raw)
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
@@ -168,16 +173,16 @@ class RingElement:
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, RingElement) else other
-        if not isinstance(o, RingElement):
+        o = other if isinstance(other, RingElement) else self._coerce(other)
+        if o is None:
             return NotImplemented
-        return (self.ring is o.ring or self.ring == o.ring) and self.payload == o.payload
+        return (self.ring is o.ring or self.ring == o.ring) and self.raw == o.raw
 
     def __hash__(self):
-        return hash((self.ring, self.payload))
+        return hash((self.ring, self.raw))
 
     def __bool__(self):
-        return bool(self.ring.raw(self))
+        return bool(self.raw)
 
     def is_unit(self) -> bool:
         return self.ring.is_unit(self)
@@ -189,14 +194,14 @@ class RingElement:
         return self.ring.inverse(self)
 
     def __repr__(self):
-        return self.ring.format_raw(self.ring.raw(self))
+        return self.ring.format_raw(self.raw)
 
 
 class LocalRing:
     """Shared behaviour for the four ring kinds.
 
     A constructor sets ``spelling``, which alone decides equality, hash
-    and repr; arithmetic, coercion and text run on ``raw``/``cook``.
+    and repr; arithmetic, coercion and text run on raw values and ``cook``.
     """
 
     spelling: str
@@ -224,13 +229,13 @@ class LocalRing:
         raise NotImplementedError
 
     def add(self, a: RingElement, b: RingElement) -> RingElement:
-        return self.cook(self.raw(a) + self.raw(b))
+        return self.cook(a.raw + b.raw)
 
     def mul(self, a: RingElement, b: RingElement) -> RingElement:
-        return self.cook(self.raw(a) * self.raw(b))
+        return self.cook(a.raw * b.raw)
 
     def neg(self, a: RingElement) -> RingElement:
-        return self.cook(-self.raw(a))
+        return self.cook(-a.raw)
 
     def is_unit(self, a: RingElement) -> bool:
         raise NotImplementedError
@@ -254,19 +259,22 @@ class LocalRing:
 
     def format_raw(self, x) -> str:
         """The text of the element whose raw value is x."""
-        return str(x)
-
-    def raw(self, a: RingElement):
-        """The value kernels compute with in place of a."""
-        return a.payload
+        try:
+            return str(x)
+        except ValueError:  # Python's int -> str digit limit
+            raise QpolarError(f"an element of {self} has too many digits to print") from None
 
     def cook(self, x) -> RingElement:
         """The canonical element for a raw sum or product x."""
-        return RingElement(self, x)
+        return RingElement(self, self.normal(x))
 
     def normal(self, x):
         """The canonical raw value of a raw sum or product x."""
-        return self.raw(self.cook(x))
+        return x
+
+    def payload(self, x):
+        """The payload outside readers see for the canonical raw value x."""
+        return x
 
     def _build_constants(self) -> None:
         self._zero, self._one = self.element(0), self.element(1)
@@ -282,7 +290,7 @@ class LocalRing:
 
 
 class _ModularRing(LocalRing):
-    """Common code for Z/p and Z/p^k; payload is a residue in [0, modulus)."""
+    """Common code for Z/p and Z/p^k; raw values and payloads are residues in [0, modulus)."""
 
     def __init__(self, p: int, k: int, spelling: str):
         if not _is_prime(p):
@@ -303,19 +311,16 @@ class _ModularRing(LocalRing):
         except ValueError:
             raise RingParseError(f"bad integer literal {text!r} for {self}") from None
 
-    def cook(self, x):
-        return RingElement(self, x % self.modulus)
-
     def normal(self, x):
         return x % self.modulus
 
     def is_unit(self, a):
-        return a.payload % self.p != 0
+        return a.raw % self.p != 0
 
     def inverse(self, a):
         if not self.is_unit(a):
             raise NotAUnit(f"{a!r} is not a unit in {self}")
-        return RingElement(self, pow(a.payload, -1, self.modulus))
+        return RingElement(self, pow(a.raw, -1, self.modulus))
 
     def elements(self):
         for r in range(self.modulus):
@@ -346,8 +351,9 @@ class IntegersMod(_ModularRing):
 class LocalizedIntegers(LocalRing):
     """Z localized at a prime p: fractions m/n with p not dividing n.
 
-    Payloads are reduced ``Fraction`` values, so canonical form is free.
-    A fraction is a unit exactly when p does not divide its numerator.
+    A raw value is an ``int`` when integral and a reduced ``Fraction``
+    otherwise; a payload is always a ``Fraction``.  A value is a unit
+    exactly when p does not divide its numerator.
     """
 
     def __init__(self, p: int):
@@ -361,11 +367,13 @@ class LocalizedIntegers(LocalRing):
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise InvalidElement(f"{value} has denominator divisible by {self.p}")
-            return RingElement(self, value)
+            return self.cook(value)
         return super().element(value)
 
     def parse(self, text: str) -> RingElement:
         s = text.strip()
+        if "e" in s.lower():  # Fraction("1e10000000") alone takes seconds
+            raise RingParseError(f"exponent notation {text!r} is not accepted for {self}")
         try:
             f = Fraction(s)
         except (ValueError, ZeroDivisionError):
@@ -375,23 +383,19 @@ class LocalizedIntegers(LocalRing):
         except InvalidElement as exc:
             raise RingParseError(str(exc)) from None
 
-    def raw(self, a):
-        x = a.payload
-        return x.numerator if x.denominator == 1 else x
-
-    def cook(self, x):
-        return RingElement(self, x if type(x) is Fraction else Fraction(x))
-
     def normal(self, x):
         return x.numerator if x.denominator == 1 else x
 
+    def payload(self, x):
+        return Fraction(x)
+
     def is_unit(self, a):
-        return a.payload.numerator % self.p != 0
+        return a.raw.numerator % self.p != 0
 
     def inverse(self, a):
         if not self.is_unit(a):
             raise NotAUnit(f"{a!r} is not a unit in {self}")
-        return RingElement(self, 1 / a.payload)
+        return self.cook(1 / Fraction(a.raw))
 
     def elements(self):
         raise InfiniteRing(f"{self} has infinitely many elements")
@@ -405,7 +409,7 @@ class LocalizedIntegers(LocalRing):
 
 
 class _RawSeries(tuple):
-    """A series' raw coefficients (base ``raw`` values), constant term first.
+    """A series' raw value: its coefficients' raw values, constant term first.
 
     ``+``, ``-`` and ``*`` take operands of one length and truncate there.
     It is false when every coefficient is, so zero skips work when nested.
@@ -439,37 +443,13 @@ class _RawSeries(tuple):
         return _RawSeries(out)
 
 
-class _SeriesElement(RingElement):
-    """A series by its m canonical raw ``coeffs``; ``payload`` is built when read."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, ring: TruncatedSeriesRing, coeffs: _RawSeries):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def __getattr__(self, name):  # only while the payload slot is unset
-        if name != "payload":
-            raise AttributeError(name)
-        self.payload = tuple(map(self.ring.base.cook, self.coeffs))
-        return self.payload
-
-    def __eq__(self, other):
-        o = other if isinstance(other, RingElement) else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (o.ring is self.ring or o.ring == self.ring) and o.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-
 class TruncatedSeriesRing(LocalRing):
     """base[[x]]/(x^m): power series in x over ``base``, truncated at x^m.
 
-    Elements hold exactly m canonical raw coefficients, constant term
-    first.  A series is a unit iff its constant term is; inverses are
-    computed coefficient by coefficient from the convolution identity.
+    A raw value holds exactly m canonical raw coefficients, constant term
+    first; a payload is the tuple of base elements.  A series is a unit iff
+    its constant term is; inverses are computed coefficient by coefficient
+    from the convolution identity.
     """
 
     def __init__(self, base: LocalRing, precision: int):
@@ -487,15 +467,15 @@ class TruncatedSeriesRing(LocalRing):
         ):
             value = [value]
         if isinstance(value, (list, tuple)):
-            coeffs = [self.base.element(c) for c in value[: self.precision]]
-            coeffs += [self.base.zero] * (self.precision - len(coeffs))
-            return _SeriesElement(self, _RawSeries(map(self.base.raw, coeffs)))
+            raws = [self.base.element(c).raw for c in value[: self.precision]]
+            raws += [self.base.zero.raw] * (self.precision - len(raws))
+            return RingElement(self, _RawSeries(raws))
         return super().element(value)
 
     def parse(self, text: str) -> RingElement:
         # Accepts "c0 + c1*x + c2*x^2 + ..." with integer or fraction
         # coefficients; bare "x" and "x^k" mean coefficient one.
-        coeffs = [self.base.zero] * self.precision
+        coeffs = [self.base.zero.raw] * self.precision
         src = text.strip()
         if not src:
             raise RingParseError("empty series literal")
@@ -525,24 +505,19 @@ class TruncatedSeriesRing(LocalRing):
                 raise RingParseError(f"bad term {raw.strip()!r} in {text!r}")
             if power < 0:
                 raise RingParseError(f"negative power in {text!r}")
-            c = self.base.parse(cpart)
-            if negate:
-                c = -c
+            c = self.base.parse(cpart).raw
             if power < self.precision:
-                coeffs[power] = coeffs[power] + c
-        return _SeriesElement(self, _RawSeries(map(self.base.raw, coeffs)))
-
-    def raw(self, a):
-        return a.coeffs
+                coeffs[power] = coeffs[power] - c if negate else coeffs[power] + c
+        return self.cook(coeffs)
 
     def normal(self, x):
         return _RawSeries(map(self.base.normal, x))
 
-    def cook(self, x):
-        return _SeriesElement(self, self.normal(x))
+    def payload(self, x):
+        return tuple(map(self.base.cook, x))
 
     def constant_term(self, a) -> RingElement:
-        return self.base.cook(a.coeffs[0])
+        return self.base.cook(a.raw[0])
 
     def is_unit(self, a):
         return self.base.is_unit(self.constant_term(a))
@@ -552,17 +527,17 @@ class TruncatedSeriesRing(LocalRing):
         if not self.is_unit(a):
             raise NotAUnit(f"{a!r} is not a unit in {self}")
         base = self.base
-        normal, xs, zero = base.normal, a.coeffs, base.raw(base.zero)
-        bs = [base.raw(base.inverse(self.constant_term(a)))]
+        normal, xs, zero = base.normal, a.raw, base.zero.raw
+        bs = [base.inverse(self.constant_term(a)).raw]
         for i in range(1, self.precision):
             s = sum((xs[k] * bs[i - k] for k in range(1, i + 1) if xs[k]), zero)
             bs.append(normal(-(bs[0] * s)))
         return self.cook(bs)
 
     def elements(self):
-        raws = [self.base.raw(x) for x in self.base.elements()]
+        raws = [x.raw for x in self.base.elements()]
         for combo in product(raws, repeat=self.precision):
-            yield _SeriesElement(self, _RawSeries(combo))
+            yield RingElement(self, _RawSeries(combo))
 
     def cardinality(self):
         return self.base.cardinality() ** self.precision

@@ -96,10 +96,10 @@ def lift_root(sq: SeriesQuadratic, b0) -> RingElement:
     pivot = b0 + b0 - mu0
     if not pivot.is_unit():
         raise PivotNotUnit(f"2*{b0!r} - {mu0!r} is not a unit in {base!r}")
-    inv = base.raw(pivot.inverse())
-    normal, mu, lam = base.normal, ring.raw(sq.mu), ring.raw(sq.lam)
+    inv = pivot.inverse().raw
+    normal, mu, lam = base.normal, sq.mu.raw, sq.lam.raw
 
-    rb = [base.raw(b0)]
+    rb = [b0.raw]
     for i in range(1, ring.precision):
         acc = lam[i]
         for k in range(i):

@@ -156,7 +156,7 @@ def quasipolar_witness_shape(a: ShapedMatrix) -> QuasipolarWitness:
     if not shape.has_no_middles:
         raise UnsupportedShape(
             f"no constructive decomposition for shape {shape.name}; "
-            "supported: T2, T3, L3, LOW3, UP3, S1, S2, M2"
+            "supported: T2, T3, L3, LOW3, UP3, S1, S2, TN1, M2"
         )
     return _finish_witness(a, _spectral_idempotent(a))
 

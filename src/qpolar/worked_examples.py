@@ -119,7 +119,7 @@ def verify_example(ex: WorkedExample) -> CheckReport:
     alpha, beta = cls.roots
     chi = char_poly_2x2(ex.matrix)
     entries = [
-        ("constant_split", (alpha.payload[0], beta.payload[0]) == ex.constant_split),
+        ("constant_split", tuple(map(ex.ring.constant_term, cls.roots)) == ex.constant_split),
         ("alpha_lift", alpha == ex.alpha),
         ("beta_lift", beta == ex.beta),
         ("alpha_root", chi.evaluate(alpha) == ex.ring.zero),

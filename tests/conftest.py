@@ -10,6 +10,7 @@ from qpolar import (
     ShapedMatrix,
     TruncatedSeriesRing,
 )
+from qpolar.rings import RingElement
 
 
 @pytest.fixture(scope="session")
@@ -65,14 +66,20 @@ def random_element(rng, ring, integral=False):
 
 
 def assert_canonical(x):
-    """Zloc payloads stay Fractions, residues stay in [0, modulus)."""
+    """x.raw is normal and matches the payload bench/verify.py reads: a
+    residue in [0, modulus), always a Fraction for Zloc (raw is an int
+    exactly when integral), a tuple of base elements for a series."""
     ring = x.ring
+    assert x.raw == ring.normal(x.raw)
     if isinstance(ring, TruncatedSeriesRing):
-        assert isinstance(x.payload, tuple) and len(x.payload) == ring.precision
+        assert type(x.payload) is tuple and len(x.payload) == ring.precision
+        assert tuple(c.raw for c in x.payload) == x.raw
         for c in x.payload:
-            assert c.ring is ring.base
+            assert type(c) is RingElement and c.ring is ring.base
             assert_canonical(c)
     elif isinstance(ring, LocalizedIntegers):
-        assert type(x.payload) is Fraction
+        assert type(x.payload) is Fraction and x.payload == x.raw
+        assert type(x.raw) is (int if x.payload.denominator == 1 else Fraction)
     else:
         assert type(x.payload) is int and 0 <= x.payload < ring.modulus
+        assert x.payload == x.raw

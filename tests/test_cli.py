@@ -216,6 +216,27 @@ class TestExitCodes:
     def test_a_modulus_below_the_digit_cap_still_parses(self):
         assert parse_ring("Z2^14000").modulus == 2**14000
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            f"[{3**8000}, {5**5000}; 0, {2 * 7**4000}]",
+            "[1e5000, 0; 0, 2]",
+            "[1e10000000, 0; 0, 2]",
+        ],
+        ids=["long-witness-entry", "exponent", "huge-exponent"],
+    )
+    def test_zloc_values_past_the_digit_limit_are_refused_fast(self, capsys, matrix):
+        # Every literal has under 4,300 digits, but the first witness's
+        # entries do not and cannot print; exponent notation is refused
+        # before Fraction expands it.
+        start = time.perf_counter()
+        code = main(["decompose", "--ring", "Zloc2", "--shape", "T2", "--matrix", matrix])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_bleached_over_too_many_elements_is_refused_fast(self, capsys, monkeypatch):
         # F1000003 would take about 2*10^12 map evaluations; the bound comes
         # from its cardinality before any element is enumerated.

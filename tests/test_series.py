@@ -29,7 +29,6 @@ from qpolar import (
     quasipolar_witness_shape,
 )
 from qpolar.matrices import ShapedMatrix, parse_matrix
-from qpolar.rings import _SeriesElement
 from qpolar.oracle import FiniteRingView
 from qpolar.sweeps import oracle_recheck
 
@@ -219,7 +218,7 @@ class TestBleachedTransfer:
 class TestSeriesCost:
     # A cost pin: an M2 witness and a root lift read each series entry's
     # raw coefficients and build a base element only for a constant term,
-    # so no lazy payload is read and the base cook count does not grow
+    # so no series payload is built and the base cook count does not grow
     # with the precision.
     MATRICES = {
         "Z2^2": "[1 + x + 3*x^2 + x^5, 2*x + x^3; 3 + x^4, 2 + x + 2*x^7]",
@@ -231,18 +230,18 @@ class TestSeriesCost:
         ring = TruncatedSeriesRing(base, precision)
         a = parse_matrix(ring, M2, TestSeriesCost.MATRICES[repr(base)])
         calls = {"cook": 0, "payload": 0}
-        cook, getattr_ = type(base).cook, _SeriesElement.__getattr__
+        cook, payload = type(base).cook, TruncatedSeriesRing.payload
 
         def counted_cook(*args):
             calls["cook"] += 1
             return cook(*args)
 
-        def counted_getattr(x, name):
-            calls["payload"] += name == "payload"
-            return getattr_(x, name)
+        def counted_payload(*args):
+            calls["payload"] += 1
+            return payload(*args)
 
         monkeypatch.setattr(type(base), "cook", counted_cook)
-        monkeypatch.setattr(_SeriesElement, "__getattr__", counted_getattr)
+        monkeypatch.setattr(TruncatedSeriesRing, "payload", counted_payload)
         if isinstance(base, LocalizedIntegers):
             alpha, beta = lift_split(char_poly_2x2(a), ring)
             repr(alpha), repr(beta)

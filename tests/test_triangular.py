@@ -198,11 +198,13 @@ class TestTransportedShapes:
         assert quasipolar_witness_shape(b).checks().passed
 
     def test_unsupported_shapes_are_refused(self, z4):
-        # M3, a mask with middle indices (TN3), and a non-triangular block.
+        # M3, a mask with middle indices (TN3), and a non-triangular block;
+        # the refusal lists TN1, which decomposes.
         block = Shape("B", 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}))
         for shape in (M3, TN(3), block):
-            with pytest.raises(UnsupportedShape, match="no constructive decomposition"):
+            with pytest.raises(UnsupportedShape, match="no constructive decomposition.* TN1, "):
                 quasipolar_witness_shape(ShapedMatrix.identity(z4, shape))
+        assert quasipolar_witness_shape(ShapedMatrix.identity(z4, TN(1))).checks().passed
 
     @pytest.mark.parametrize("shape", [T2, T3, L3, LOW3, UP3, S1, S2, M2], ids=lambda s: s.name)
     def test_dispatch_compares_shapes_by_value(self, z4, shape):

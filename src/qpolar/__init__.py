@@ -78,22 +78,12 @@ from .series import (
     NoConstantSplit,
     PivotNotUnit,
     SeriesQuadratic,
-    check_bleached_series,
     constant_term_matrix,
     lift_root,
     lift_split,
     quasipolar_witness_m2_series,
 )
-from .oracle import (
-    NotIdempotent,
-    commutant,
-    corner_validate,
-    double_commutant,
-    get_view,
-    is_quasinilpotent,
-    quasipolar_search,
-    rad_clean_search,
-)
+from .oracle import NotIdempotent, get_view
 from .sweeps import (
     corner_equivalence_sweep,
     m2_agreement_sweep,
@@ -105,87 +95,3 @@ from .sweeps import (
 from .worked_examples import all_examples, example_precision2, example_precision8, verify_example
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BadSeed",
-    "Comm2Evidence",
-    "ConstantNotQuasipolar",
-    "InfiniteRing",
-    "IntegersMod",
-    "InvalidElement",
-    "L3",
-    "LOW3",
-    "LocalizedIntegers",
-    "M2",
-    "M2Kind",
-    "M3",
-    "MatrixParseError",
-    "NoConstantSplit",
-    "NotAUnit",
-    "NotBleachedInstance",
-    "NotIdempotent",
-    "NotQuasipolarError",
-    "PivotNotUnit",
-    "PreconditionViolation",
-    "PrimeField",
-    "QpolarError",
-    "QuasipolarWitness",
-    "RadCleanWitness",
-    "RingMismatch",
-    "RingParseError",
-    "S1",
-    "S2",
-    "SHAPES",
-    "SeriesQuadratic",
-    "Shape",
-    "ShapeMismatch",
-    "ShapedMatrix",
-    "T2",
-    "T3",
-    "TN",
-    "TruncatedSeriesRing",
-    "UP3",
-    "UnsupportedShape",
-    "WitnessInvalid",
-    "all_examples",
-    "char_poly_2x2",
-    "check_bleached",
-    "check_bleached_series",
-    "check_uniquely_bleached",
-    "classify_case",
-    "classify_m2",
-    "commutant",
-    "constant_term_matrix",
-    "corner_equivalence_sweep",
-    "corner_validate",
-    "double_commutant",
-    "example_precision2",
-    "example_precision8",
-    "find_root_split",
-    "get_view",
-    "is_quasinilpotent",
-    "lift_root",
-    "lift_split",
-    "m2_agreement_sweep",
-    "matrix_from_json",
-    "parse_matrix",
-    "parse_ring",
-    "parse_shape",
-    "quasipolar_search",
-    "quasipolar_witness_m2",
-    "quasipolar_witness_m2_series",
-    "quasipolar_witness_shape",
-    "quasipolar_witness_t2",
-    "quasipolar_witness_t3",
-    "rad_clean_search",
-    "rad_clean_witness_t3",
-    "require_valid",
-    "scalar_quasipolar",
-    "solve_commutant",
-    "spectral_idempotent_t3",
-    "t3_case_sweep",
-    "t3_rad_clean_sweep",
-    "transport_sweep",
-    "verify_example",
-    "zloc_shape_sweep",
-]

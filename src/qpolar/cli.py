@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the requested computation succeeded (including a
 correct negative classification), 1 when a verification failed (witness
-invariant broke or a sweep found mismatches), 2 on unusable input.
+invariant broke or a sweep found mismatches), 2 on unusable input, and
+141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
+when the reader of stdout has gone, as in ``qp ... | head -c 100``.
 Output is deterministic: no timestamps, counts pre-sorted, JSON keys
 sorted.  ``main(argv)`` may be called any number of times in one
 process: it builds the argument parser on its first call and reuses it.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .commutant import check_bleached, check_uniquely_bleached
@@ -306,7 +309,14 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        return _DISPATCH[args.verb](args)
+        code = _DISPATCH[args.verb](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's documented recipe: the interpreter's last flush of stdout
+        # would fail again, so it goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except WitnessInvalid as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

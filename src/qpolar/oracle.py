@@ -51,7 +51,7 @@ TABLE_CAP = 10**6
 
 
 class NotIdempotent(QpolarError):
-    """corner_validate was handed an e with e*e != e."""
+    """corner_validate_key was handed an e with e*e != e."""
 
 
 def _straight_line(npos: int, slots: list, tables: dict, hoist: str = ""):
@@ -215,8 +215,9 @@ class FiniteRingView:
         tables = {"A": self._add_s, "M": self._mul_s, "N": self._neg_s, "T": transposed}
         slots = range(npos)
         self._mul_k = _straight_line(npos, sums(lambda i, j: f"M[a{i}][b{j}]"), tables)
-        self._add_k = _straight_line(npos, [f"A[a{i}][b{i}]" for i in slots], tables)
-        self._sub_k = _straight_line(npos, [f"A[a{i}][N[b{i}]]" for i in slots], tables)
+        # Sums and differences are not counted, so they need no class-level method.
+        self._add = _straight_line(npos, [f"A[a{i}][b{i}]" for i in slots], tables)
+        self._sub = _straight_line(npos, [f"A[a{i}][N[b{i}]]" for i in slots], tables)
         # A row a*b hoists M[a_i]; a column b*a reads M[b_i][a_j] as T[a_j][b_i].
         self._row_k = _straight_line(npos, sums(lambda i, j: f"r{i}[b{j}]"), tables,
                                      "; ".join(f"r{i} = M[a{i}]" for i in slots))
@@ -245,12 +246,6 @@ class FiniteRingView:
 
     def _mul_col(self, a, bs) -> list:
         return self._col_k(a, bs)  # [b*a for b in bs]
-
-    def _add(self, a, b):
-        return self._add_k(a, b)
-
-    def _sub(self, a, b):
-        return self._sub_k(a, b)
 
     # -- conversions ---------------------------------------------------------
 
@@ -366,40 +361,13 @@ class FiniteRingView:
         if mul(e, e) != e:
             raise NotIdempotent(f"{self.value_of(e)!r} is not idempotent")
         if mul(e, a) != mul(a, e):
-            raise QpolarError("corner_validate needs e commuting with a")
+            raise QpolarError("corner_validate_key needs e commuting with a")
         f = sub(self.one_key, e)
         if mul(a, e) not in self._corner(e).units:
             return False
         af = mul(a, f)
         corner_f = self._corner(f)
         return corner_f.is_qnil(af, corner_f.commuting.get(af))
-
-
-# -- public wrappers over matrices ---------------------------------------------
-
-
-def commutant(view: FiniteRingView, a) -> list:
-    return [view.value_of(k) for k in view.commutant_keys(view.key_of(a))]
-
-
-def double_commutant(view: FiniteRingView, a) -> list:
-    return [view.value_of(k) for k in view.double_commutant_keys(view.key_of(a))]
-
-
-def is_quasinilpotent(view: FiniteRingView, a) -> bool:
-    return view.is_qnil_key(view.key_of(a))
-
-
-def quasipolar_search(view: FiniteRingView, a) -> list:
-    return [view.value_of(k) for k in view.quasipolar_search_keys(view.key_of(a))]
-
-
-def rad_clean_search(view: FiniteRingView, a) -> list:
-    return [view.value_of(k) for k in view.rad_clean_search_keys(view.key_of(a))]
-
-
-def corner_validate(view: FiniteRingView, a, e) -> bool:
-    return view.corner_validate_key(view.key_of(a), view.key_of(e))
 
 
 _VIEW_CACHE: dict = {}

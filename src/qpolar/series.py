@@ -23,16 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commutant import check_uniquely_bleached
 from .m2 import NotQuasipolarError, M2Kind, classify_m2, quasipolar_witness_m2
 from .matrices import M2, QuadraticCharPoly, ShapedMatrix, UnsupportedShape
-from .rings import (
-    InfiniteRing,
-    LocalRing,
-    QpolarError,
-    RingElement,
-    TruncatedSeriesRing,
-)
+from .rings import QpolarError, RingElement, TruncatedSeriesRing
 from .witnesses import QuasipolarWitness, WitnessInvalid
 
 
@@ -167,18 +160,3 @@ def quasipolar_witness_m2_series(a: ShapedMatrix) -> QuasipolarWitness:
         )
     return quasipolar_witness_m2(a, cls=cls)
 
-
-def check_bleached_series(base: LocalRing, precision: int) -> dict:
-    """Uniquely-bleached check on a finite base and its series quotient.
-
-    Both must pass; the report carries each run plus the agreement bit.
-    """
-    if not base.is_finite:
-        raise InfiniteRing(f"cannot enumerate series over {base!r}")
-    base_report = check_uniquely_bleached(base)
-    series_report = check_uniquely_bleached(TruncatedSeriesRing(base, precision))
-    return {
-        "base": base_report.to_dict(),
-        "series": series_report.to_dict(),
-        "agree": base_report.passed == series_report.passed,
-    }

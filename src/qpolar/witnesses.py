@@ -9,6 +9,19 @@ stores the resulting ``CheckReport`` as ``report``: every defining
 identity, each by name, so callers (and the CLI) can show exactly what
 was verified without computing it again.  Constructions in this package
 return only witnesses whose stored report passed.
+
+Commuting is enough.  Let S be a masked subring over a commutative
+Noetherian local ring (R, m), as every ring family here is, and p an
+idempotent of S with pA = Ap, u = A + p a unit and (Ap)^k in J(S) for
+some k <= n, which is what ``QuasipolarWitness.checks`` verifies.  Then
+p lies in comm^2(A).  Proof: take X in S with XA = AX, and let q = Ap,
+Y = (1-p)Xp and Z = pX(1-p).  Then uY = Yq and Zu = qZ, so
+Y = u^-M Y q^M and Z = q^M Z u^-M for every M.  S/mS is finite-dimensional
+over R/m, so J(S)^N <= mS for some N, and q^(kNj) lies in m^j S.  So Y
+and Z lie in the intersection of the m^j S, which is 0 by Krull's
+intersection theorem (S is a finitely generated R-module), and
+pX = pXp = Xp.  Such a p is the unique quasipolar idempotent of A
+(Koliha and Patricio, J. Aust. Math. Soc. 72, 2002).
 """
 
 from __future__ import annotations
@@ -29,7 +42,9 @@ class Comm2Evidence(Enum):
     idempotent was built from the diagonal unit/radical pattern by the
     triangular engine, whose defining equations force it to commute with
     the full commutant.  POLYNOMIAL_IN_A: the idempotent is a polynomial
-    in A, so anything commuting with A commutes with it.
+    in A, so anything commuting with A commutes with it.  Every label is
+    backed by the module docstring's lemma: a witness whose checks pass
+    has its idempotent in comm^2(A).
     """
 
     FINITE_EXHAUSTIVE = "finite-exhaustive"

@@ -265,6 +265,23 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_closed_stdout_pipe_exits_141_without_a_traceback(self):
+        # A pipe whose reader is already gone, like `qp ... | head -c 100`
+        # once head has exited: the first write fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qpolar.cli", *T3_ARGS, "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 141
+
 
 class TestVerbs:
     def test_decompose_with_oracle_recheck(self, capsys):

@@ -20,7 +20,7 @@ from qpolar import (
     UnsupportedShape,
     WitnessInvalid,
     char_poly_2x2,
-    check_bleached_series,
+    check_uniquely_bleached,
     constant_term_matrix,
     example_precision8,
     lift_root,
@@ -203,15 +203,16 @@ class TestConstantGate:
 
 class TestBleachedTransfer:
     def test_base_and_quotient_agree(self):
-        report = check_bleached_series(PrimeField(2), 3)
-        assert report["agree"] is True
-        assert report["base"]["ok"] is True
-        assert report["series"]["ok"] is True
-        assert report["series"]["pairs_checked"] == 16
+        base = check_uniquely_bleached(PrimeField(2))
+        series = check_uniquely_bleached(TruncatedSeriesRing(PrimeField(2), 3))
+        assert base.passed is series.passed is True
+        assert series.pairs_checked == 16
 
     def test_infinite_base_is_refused(self):
         with pytest.raises(InfiniteRing):
-            check_bleached_series(LocalizedIntegers(2), 2)
+            check_uniquely_bleached(LocalizedIntegers(2))
+        with pytest.raises(InfiniteRing):
+            check_uniquely_bleached(TruncatedSeriesRing(LocalizedIntegers(2), 2))
 
 
 

@@ -249,3 +249,38 @@ def test_radical_certificate_is_the_oracle_quasinilpotence(ring, shape):
     view = get_view(parse_ring(ring), shape)
     for key in view.keys:
         assert _radical_certificate(view.value_of(key)) == view.is_qnil_key(key), key
+
+
+# The carriers of the module docstring's lemma test: 4,669 keys in all.
+LEMMA_CARRIERS = [
+    ("F2", "T3"), ("Z2^2", "T3"), ("F3", "T3"),
+    ("Z2^2", "M2"), ("F3", "M2"), ("series(F2,2)", "M2"),
+    ("F2", "M3"), ("F3", "TN3"), ("F2", "TN4"), ("Z2^3", "T2"),
+]
+
+
+def test_commuting_is_enough_on_every_key():
+    # The witness checks alone, read in the oracle's units and radical:
+    # p idempotent, pA = Ap, A + p a unit, some (Ap)^k (k <= n) radical.
+    # Exactly one idempotent passes for every key, and it is in comm^2(A).
+    total = 0
+    for ring, shape in LEMMA_CARRIERS:
+        view = get_view(parse_ring(ring), parse_shape(shape))
+        mul, add, n = view._mul, view._add, view.shape.n
+        units, radical, idems = view.units, view.jacobson_keys, view.idempotent_keys
+        for a in view.keys:
+            found = []
+            for p, pa, ap in zip(idems, view._mul_col(a, idems), view._mul_row(a, idems)):
+                if pa != ap or add(a, p) not in units:
+                    continue
+                power = ap
+                for _ in range(1, n):
+                    if power in radical:
+                        break
+                    power = mul(power, ap)
+                if power in radical:
+                    found.append(p)
+            assert len(found) == 1, (ring, shape, a, found)
+            assert view.in_double_commutant(found[0], a), (ring, shape, a)
+        total += len(view.keys)
+    assert total == 4_669

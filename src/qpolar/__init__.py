@@ -43,7 +43,6 @@ from .matrices import (
     parse_shape,
 )
 from .witnesses import (
-    Comm2Evidence,
     QuasipolarWitness,
     RadCleanWitness,
     WitnessInvalid,

@@ -30,7 +30,7 @@ from .sweeps import (
     t3_case_sweep,
     t3_rad_clean_sweep,
 )
-from .triangular import classify_case, quasipolar_witness_shape, rad_clean_witness_t3
+from .triangular import classify_case, quasipolar_witness_shape, rad_clean_witness_t3, require_engine
 from .witnesses import WitnessInvalid
 from .worked_examples import all_examples, verify_example
 
@@ -104,23 +104,21 @@ def _check_lines(report, indent: str = "") -> list:
     return [f"{indent}check {name}: {'pass' if ok else 'FAIL'}" for name, ok in report.entries]
 
 
-def _witness_lines(w) -> list:
-    return [
-        f"p: {w.p!r}",
-        f"u: {w.u!r}",
-        f"q: {w.q!r}",
-        f"evidence: {w.comm2_evidence.value}",
-    ] + _check_lines(w.report)
-
-
-def _rad_clean_lines(w) -> list:
-    return [f"e: {w.e!r}", f"v: {w.v!r}", f"corner: {w.corner_j!r}"] + _check_lines(w.report)
+def _add_witness(payload: dict, lines: list, w, oracle: bool) -> None:
+    """Put w in the payload and lines with its evidence label: every passing p is in
+    comm^2(A) (qpolar.witnesses), and the label says what else shows it."""
+    evidence = ("polynomial-in-a" if w.a.shape == M2
+                else "finite-exhaustive" if oracle else "case-construction")
+    payload["witness"] = dict(w.to_dict(), comm2_evidence=evidence)
+    lines += [f"p: {w.p!r}", f"u: {w.u!r}", f"q: {w.q!r}", f"evidence: {evidence}"]
+    lines += _check_lines(w.report)
 
 
 def _cmd_decompose(args) -> int:
     ring = parse_ring(args.ring)
     shape = parse_shape(args.shape)
     a = parse_matrix(ring, shape, args.matrix)
+    require_engine(shape)
     view = get_view(ring, shape) if args.oracle else None
     payload: dict = {"verb": "decompose", "ring": repr(ring), "shape": shape.name,
                      "matrix": a.to_json()}
@@ -139,16 +137,16 @@ def _cmd_decompose(args) -> int:
         _emit(args, payload, lines)
         return 0
     if view is not None:
-        w = oracle_recheck(w, view)
+        oracle_recheck(w, view)
     # For T3 the quasipolar idempotent is the diagonal-pattern E, which is also
     # the rad-clean idempotent.
     rad = rad_clean_witness_t3(a, w.p) if shape == T3 else None
 
-    payload["witness"] = w.to_dict()
-    lines.extend(_witness_lines(w))
+    _add_witness(payload, lines, w, oracle=view is not None)
     if rad is not None:
         payload["rad_clean"] = rad.to_dict()
-        lines.extend(_rad_clean_lines(rad))
+        lines += [f"e: {rad.e!r}", f"v: {rad.v!r}", f"corner: {rad.corner_j!r}"]
+        lines += _check_lines(rad.report)
     ok = payload["witness"]["ok"] and (rad is None or payload["rad_clean"]["ok"])
     payload["ok"] = ok
     lines.append("verified" if ok else "VERIFICATION FAILED")
@@ -195,9 +193,8 @@ def _cmd_lift(args) -> int:
         lines.append(f"alpha: {alpha!r}")
         lines.append(f"beta: {beta!r}")
     w = quasipolar_witness_m2(a, cls=cls)
-    payload["witness"] = w.to_dict()
+    _add_witness(payload, lines, w, oracle=False)
     payload["ok"] = payload["witness"]["ok"]
-    lines.extend(_witness_lines(w))
     lines.append("verified" if payload["ok"] else "VERIFICATION FAILED")
     _emit(args, payload, lines)
     return 0 if payload["ok"] else 1

@@ -42,7 +42,7 @@ from .rings import (
     QpolarError,
     TruncatedSeriesRing,
 )
-from .witnesses import Comm2Evidence, QuasipolarWitness, WitnessInvalid, build_quasipolar
+from .witnesses import QuasipolarWitness, WitnessInvalid, build_quasipolar
 
 
 class NotQuasipolarError(QpolarError):
@@ -180,4 +180,4 @@ def quasipolar_witness_m2(a: ShapedMatrix, cls: M2Classification | None = None) 
         p = (ShapedMatrix.identity(ring, M2).scale(beta) - a).scale(scale)
         if a * p != p.scale(alpha):
             raise WitnessInvalid(f"A*p is not alpha*p for {a!r}")
-    return build_quasipolar(a, p, Comm2Evidence.POLYNOMIAL_IN_A)
+    return build_quasipolar(a, p)

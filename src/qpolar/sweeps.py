@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,12 +18,13 @@ from .oracle import FiniteRingView, get_view
 from .rings import LocalizedIntegers, LocalRing
 from .triangular import (
     classify_case,
+    diagonal_pattern,
     quasipolar_witness_shape,
     quasipolar_witness_t2,
     quasipolar_witness_t3,
     rad_clean_witness_t3,
 )
-from .witnesses import Comm2Evidence, QuasipolarWitness, WitnessInvalid
+from .witnesses import QuasipolarWitness, WitnessInvalid
 
 
 @dataclass
@@ -52,18 +52,10 @@ class SweepReport:
         return f"<sweep {self.name}: {self.total} checked, {state}>"
 
 
-def oracle_recheck(w: QuasipolarWitness, view: FiniteRingView) -> QuasipolarWitness:
-    """w once its p is found in comm^2(A) by enumeration, or WitnessInvalid.
-
-    A diagonal-pattern witness comes back labelled finite-exhaustive; the
-    checks do not read the label, so its stored report carries over.
-    """
+def oracle_recheck(w: QuasipolarWitness, view: FiniteRingView) -> None:
+    """Raise WitnessInvalid unless enumeration finds w's p in comm^2(A)."""
     if not view.in_double_commutant(view.key_of(w.p), view.key_of(w.a)):
         raise WitnessInvalid(f"constructed idempotent escapes comm^2 for {w.a!r}")
-    if w.comm2_evidence is Comm2Evidence.CASE_CONSTRUCTION:
-        w = copy(w)
-        object.__setattr__(w, "comm2_evidence", Comm2Evidence.FINITE_EXHAUSTIVE)
-    return w
 
 
 def _sweep(name, keys, value_of, check, total=None, counts=None) -> SweepReport:
@@ -128,8 +120,8 @@ def t2_exhaustive_sweep(ring: LocalRing) -> SweepReport:
     view = get_view(ring, T2)
 
     def check(k, a):
-        pattern = ",".join("J" if d.in_jacobson() else "U" for d in a.diagonal())
-        return f"({pattern})", _search_problem(view, k, quasipolar_witness_t2(a).p)
+        label = f"({','.join(diagonal_pattern(a))})"
+        return label, _search_problem(view, k, quasipolar_witness_t2(a).p)
 
     return _sweep("t2-exhaustive", view.keys, view.value_of, check)
 

@@ -48,13 +48,7 @@ from .m2 import quasipolar_witness_m2
 from .matrices import M2, T2, T3, ShapedMatrix, UnsupportedShape
 from .rings import RingElement, TruncatedSeriesRing
 from .series import quasipolar_witness_m2_series
-from .witnesses import (
-    Comm2Evidence,
-    QuasipolarWitness,
-    RadCleanWitness,
-    build_quasipolar,
-    require_valid,
-)
+from .witnesses import QuasipolarWitness, RadCleanWitness, build_quasipolar, require_valid
 
 _CASE_PATTERNS = ("JJJ", "UUU", "UJJ", "JUJ", "JJU", "JUU", "UJU", "UUJ")
 
@@ -75,10 +69,15 @@ def _require_shape(a: ShapedMatrix, shape) -> None:
         raise UnsupportedShape(f"expected shape {shape.name}, got {a.shape.name}")
 
 
+def diagonal_pattern(a: ShapedMatrix) -> tuple:
+    """A's diagonal read as "J" for each radical entry and "U" for each unit."""
+    return tuple("J" if d.in_jacobson() else "U" for d in a.diagonal())
+
+
 def classify_case(a: ShapedMatrix) -> CaseTag:
     """The unit/radical pattern of a T3 diagonal, numbered 1 through 8."""
     _require_shape(a, T3)
-    pattern = tuple("J" if d.in_jacobson() else "U" for d in a.diagonal())
+    pattern = diagonal_pattern(a)
     return CaseTag(_CASE_PATTERNS.index("".join(pattern)) + 1, pattern)
 
 
@@ -104,7 +103,7 @@ def spectral_idempotent_t3(a: ShapedMatrix) -> ShapedMatrix:
 
 def quasipolar_witness_t3(a: ShapedMatrix) -> QuasipolarWitness:
     """Quasipolar decomposition of a T3 matrix."""
-    return _finish_witness(a, spectral_idempotent_t3(a))
+    return build_quasipolar(a, spectral_idempotent_t3(a))
 
 
 def rad_clean_witness_t3(a: ShapedMatrix, e: ShapedMatrix | None = None) -> RadCleanWitness:
@@ -123,7 +122,7 @@ def rad_clean_witness_t3(a: ShapedMatrix, e: ShapedMatrix | None = None) -> RadC
 def quasipolar_witness_t2(a: ShapedMatrix) -> QuasipolarWitness:
     """Quasipolar decomposition of an upper triangular 2x2 matrix."""
     _require_shape(a, T2)
-    return _finish_witness(a, _spectral_idempotent(a))
+    return build_quasipolar(a, _spectral_idempotent(a))
 
 
 def scalar_quasipolar(x: RingElement):
@@ -153,13 +152,12 @@ def quasipolar_witness_shape(a: ShapedMatrix) -> QuasipolarWitness:
         if isinstance(a.ring, TruncatedSeriesRing):
             return quasipolar_witness_m2_series(a)
         return quasipolar_witness_m2(a)
-    if not shape.has_no_middles:
-        raise UnsupportedShape(
-            f"no constructive decomposition for shape {shape.name}; "
-            "supported: T2, T3, L3, LOW3, UP3, S1, S2, TN1, M2"
-        )
-    return _finish_witness(a, _spectral_idempotent(a))
+    require_engine(shape)
+    return build_quasipolar(a, _spectral_idempotent(a))
 
 
-def _finish_witness(a: ShapedMatrix, p: ShapedMatrix) -> QuasipolarWitness:
-    return build_quasipolar(a, p, Comm2Evidence.CASE_CONSTRUCTION)
+def require_engine(shape) -> None:
+    """Raise UnsupportedShape unless quasipolar_witness_shape serves shape."""
+    if shape != M2 and not shape.has_no_middles:
+        raise UnsupportedShape(f"no constructive decomposition for shape {shape.name}; "
+                               "supported: T2, T3, L3, LOW3, UP3, S1, S2, TN1, M2")

@@ -27,29 +27,9 @@ pX = pXp = Xp.  Such a p is the unique quasipolar idempotent of A
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .matrices import ShapedMatrix
 from .rings import QpolarError
-
-
-class Comm2Evidence(Enum):
-    """How double-commutant membership of the idempotent is known.
-
-    FINITE_EXHAUSTIVE: checked against every commuting element of a
-    finite carrier by the oracle recheck in ``sweeps``; no engine gives
-    this label.  CASE_CONSTRUCTION (printed ``case-construction``): the
-    idempotent was built from the diagonal unit/radical pattern by the
-    triangular engine, whose defining equations force it to commute with
-    the full commutant.  POLYNOMIAL_IN_A: the idempotent is a polynomial
-    in A, so anything commuting with A commutes with it.  Every label is
-    backed by the module docstring's lemma: a witness whose checks pass
-    has its idempotent in comm^2(A).
-    """
-
-    FINITE_EXHAUSTIVE = "finite-exhaustive"
-    CASE_CONSTRUCTION = "case-construction"
-    POLYNOMIAL_IN_A = "polynomial-in-a"
 
 
 class CheckReport:
@@ -98,7 +78,6 @@ class QuasipolarWitness:
     p: ShapedMatrix
     u: ShapedMatrix
     q: ShapedMatrix
-    comm2_evidence: Comm2Evidence
     report: CheckReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -124,7 +103,6 @@ class QuasipolarWitness:
             "p": self.p.to_json(),
             "u": self.u.to_json(),
             "q": self.q.to_json(),
-            "comm2_evidence": self.comm2_evidence.value,
             "checks": self.report.to_dict(),
             "ok": self.report.passed,
         }
@@ -181,8 +159,8 @@ def require_valid(witness) -> None:
         )
 
 
-def build_quasipolar(a: ShapedMatrix, p: ShapedMatrix, evidence: Comm2Evidence):
+def build_quasipolar(a: ShapedMatrix, p: ShapedMatrix):
     """The quasipolar witness of A for idempotent p, required valid."""
-    w = QuasipolarWitness(a=a, p=p, u=a + p, q=a * p, comm2_evidence=evidence)
+    w = QuasipolarWitness(a=a, p=p, u=a + p, q=a * p)
     require_valid(w)
     return w

@@ -11,7 +11,6 @@ import pytest
 
 import qpolar.cli as cli
 from qpolar import (
-    Comm2Evidence,
     PrimeField,
     QuasipolarWitness,
     TruncatedSeriesRing,
@@ -30,6 +29,8 @@ T3_ARGS = [
     "--matrix",
     "[1,0,0; 1,2,1; 0,0,3]",
 ]
+
+LIFT_ARGS = ["lift", "--ring", "series(Z2^2,8)", "--matrix", "[1,0; 0,2]"]
 
 
 def run(capsys, argv):
@@ -54,19 +55,16 @@ class TestDeterminism:
 
 class TestJsonFidelity:
     def test_witness_round_trips_through_json(self, capsys):
-        code, out = run(capsys, T3_ARGS + ["--format", "json"])
-        assert code == 0
-        payload = json.loads(out)
-        w = payload["witness"]
-        rebuilt = QuasipolarWitness(
-            a=matrix_from_json(w["a"]),
-            p=matrix_from_json(w["p"]),
-            u=matrix_from_json(w["u"]),
-            q=matrix_from_json(w["q"]),
-            comm2_evidence=Comm2Evidence(w["comm2_evidence"]),
-        )
-        assert rebuilt.checks().passed is w["ok"] is payload["ok"] is True
-        assert rebuilt.checks().to_dict() == w["checks"]
+        # A decompose and a lift document each rebuild their witness from
+        # a, p, u and q, and the rebuilt checks are the printed ones.
+        for argv in (T3_ARGS, LIFT_ARGS):
+            code, out = run(capsys, argv + ["--format", "json"])
+            assert code == 0
+            payload = json.loads(out)
+            w = payload["witness"]
+            rebuilt = QuasipolarWitness(**{name: matrix_from_json(w[name]) for name in "apuq"})
+            assert rebuilt.checks().passed is w["ok"] is payload["ok"] is True
+            assert rebuilt.checks().to_dict() == w["checks"]
 
     def test_classify_json_matches_the_library(self, capsys):
         code, out = run(
@@ -85,6 +83,45 @@ class TestJsonFidelity:
         payload = json.loads(out)
         assert payload["kind"] == "not-quasipolar"
         assert "discriminant" in payload["reason"]
+
+
+def _decompose(ring, shape, matrix, *extra):
+    return ["decompose", "--ring", ring, "--shape", shape, "--matrix", matrix, *extra]
+
+
+class TestEvidenceLabel:
+    # The CLI prints one comm^2 evidence label per witness: polynomial-in-a
+    # for M2, finite-exhaustive after an --oracle recheck, and otherwise
+    # case-construction.
+    @pytest.mark.parametrize(
+        "argv,label",
+        [
+            (_decompose("Z2^2", "T3", "[1,0,0; 1,2,1; 0,0,3]"), "case-construction"),
+            (_decompose("Z2^2", "T3", "[1,0,0; 1,2,1; 0,0,3]", "--oracle"), "finite-exhaustive"),
+            (_decompose("F3", "T2", "[1,1; 0,0]"), "case-construction"),
+            (_decompose("F3", "T2", "[1,1; 0,0]", "--oracle"), "finite-exhaustive"),
+            (_decompose("F2", "L3", "[1,0,0; 0,0,0; 1,0,0]"), "case-construction"),
+            (_decompose("F2", "L3", "[1,0,0; 0,0,0; 1,0,0]", "--oracle"), "finite-exhaustive"),
+            (_decompose("F3", "TN1", "[2]"), "case-construction"),
+            (_decompose("F3", "TN1", "[2]", "--oracle"), "finite-exhaustive"),
+            (_decompose("Zloc2", "S1", "[1/3,0,5; 0,2,0; 0,0,4]"), "case-construction"),
+            (_decompose("F3", "M2", "[1,1; 1,2]"), "polynomial-in-a"),
+            (_decompose("F3", "M2", "[1,1; 1,2]", "--oracle"), "polynomial-in-a"),
+            (_decompose("series(F2,2)", "M2", "[1,0; 0,0]", "--oracle"), "polynomial-in-a"),
+            (LIFT_ARGS, "polynomial-in-a"),
+        ],
+        ids=[
+            "T3", "T3-oracle", "T2", "T2-oracle", "L3", "L3-oracle", "TN1", "TN1-oracle",
+            "S1-Zloc2", "M2", "M2-oracle", "M2-series-oracle", "lift",
+        ],
+    )
+    def test_text_and_json_print_the_label(self, capsys, argv, label):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines().count(f"evidence: {label}") == 1
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert json.loads(out)["witness"]["comm2_evidence"] == label
 
 
 class TestExitCodes:
@@ -128,20 +165,28 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_full_3x3_has_no_engine(self, capsys):
-        code, _ = run(
-            capsys,
-            [
-                "decompose",
-                "--ring",
-                "F2",
-                "--shape",
-                "M3",
-                "--matrix",
-                "[1,0,0; 0,1,0; 0,0,1]",
-            ],
-        )
-        assert code == 2
+    def test_full_3x3_has_no_engine(self, capsys, monkeypatch):
+        # The refusal names the missing engine, with or without --oracle,
+        # before any view is built: not the view's caps (F3) or its ring (Zloc2).
+        def build_no_view(ring, shape):
+            raise AssertionError(f"built a view of {ring} / {shape.name}")
+
+        monkeypatch.setattr(cli, "get_view", build_no_view)
+        for ring in ("F2", "F3", "Zloc2"):
+            for extra in ([], ["--oracle"]):
+                code = main(_decompose(ring, "M3", "[1,0,0; 0,1,0; 0,0,1]", *extra))
+                assert code == 2
+                assert "no constructive decomposition for shape M3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shape,matrix",
+        [("T3", "[1,0,0; 0,1,0; 0,0,1]"), ("M2", "[0,-2; 1,1]")],
+        ids=["T3", "M2-obstructed"],
+    )
+    def test_an_oracle_over_zloc_is_refused_for_its_view(self, capsys, shape, matrix):
+        # The obstructed M2 matrix too: the view is refused before the engine runs.
+        assert main(_decompose("Zloc2", shape, matrix, "--oracle")) == 2
+        assert "cannot enumerate a view over Zloc2" in capsys.readouterr().err
 
     def test_oracle_over_a_huge_series_ring_is_refused_fast(self, capsys, monkeypatch):
         # The carrier cap is checked before any scalar is enumerated.

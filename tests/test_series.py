@@ -6,7 +6,6 @@ import pytest
 
 from qpolar import (
     BadSeed,
-    Comm2Evidence,
     ConstantNotQuasipolar,
     InfiniteRing,
     IntegersMod,
@@ -172,13 +171,19 @@ class TestConstantGate:
         assert w.checks().passed
 
     def test_oracle_view_is_consulted(self, monkeypatch):
-        # The one oracle recheck keeps a polynomial-in-A label, and refuses
-        # a p that the view says escapes comm^2.
+        # The one oracle recheck asks the view about the polynomial-in-A p
+        # once and returns nothing, and refuses a p that the view says
+        # escapes comm^2.
         ring = TruncatedSeriesRing(PrimeField(2), 2)
         a = ShapedMatrix.from_rows(ring, M2, [[1, 0], [0, 0]])
         view = FiniteRingView(ring, M2)
-        w = oracle_recheck(quasipolar_witness_shape(a), view)
-        assert w.comm2_evidence is Comm2Evidence.POLYNOMIAL_IN_A
+        w = quasipolar_witness_shape(a)
+        asked, consult = [], view.in_double_commutant
+        monkeypatch.setattr(
+            view, "in_double_commutant", lambda p, k: asked.append((p, k)) or consult(p, k)
+        )
+        assert oracle_recheck(w, view) is None
+        assert asked == [(view.key_of(w.p), view.key_of(a))]
         monkeypatch.setattr(view, "in_double_commutant", lambda p, a: False)
         with pytest.raises(WitnessInvalid, match="escapes comm"):
             oracle_recheck(quasipolar_witness_shape(a), view)

@@ -13,7 +13,6 @@ from qpolar import (
     T3,
     TN,
     UP3,
-    Comm2Evidence,
     UnsupportedShape,
     classify_case,
     get_view,
@@ -27,6 +26,7 @@ from qpolar import (
     scalar_quasipolar,
     spectral_idempotent_t3,
 )
+from qpolar import triangular
 from qpolar.matrices import Shape, ShapedMatrix
 
 
@@ -207,7 +207,7 @@ class TestTransportedShapes:
         assert quasipolar_witness_shape(ShapedMatrix.identity(z4, TN(1))).checks().passed
 
     @pytest.mark.parametrize("shape", [T2, T3, L3, LOW3, UP3, S1, S2, M2], ids=lambda s: s.name)
-    def test_dispatch_compares_shapes_by_value(self, z4, shape):
+    def test_dispatch_compares_shapes_by_value(self, monkeypatch, z4, shape):
         # A same-named shape with another mask gets its own mask's witness,
         # never the named shape's engine; a shape equal in value dispatches
         # like the built-in one.
@@ -216,8 +216,15 @@ class TestTransportedShapes:
         d = ShapedMatrix.from_rows(
             z4, impostor, [[(2 - i % 2) * (i == j) for j in range(n)] for i in range(n)]
         )
+
+        def named_engine(a, **_):
+            raise AssertionError(f"{shape.name} impostor reached a named shape's engine")
+
+        for engine in ("quasipolar_witness_t3", "quasipolar_witness_t2",
+                       "quasipolar_witness_m2", "quasipolar_witness_m2_series"):
+            monkeypatch.setattr(triangular, engine, named_engine)
         w = quasipolar_witness_shape(d)
-        assert w.comm2_evidence is Comm2Evidence.CASE_CONSTRUCTION
+        monkeypatch.undo()
         assert w.p == ShapedMatrix.from_rows(
             z4, impostor, [[int(i == j and i % 2 == 0) for j in range(n)] for i in range(n)]
         )

@@ -191,9 +191,9 @@ class TestCostPins:
         seen = []
         build = triangular.build_quasipolar
 
-        def counted_build(a, p, *rest):
+        def counted_build(a, p):
             seen.append(products[0])
-            return build(a, p, *rest)
+            return build(a, p)
 
         monkeypatch.setattr(triangular, "build_quasipolar", counted_build)
         quasipolar_witness_shape(a)

@@ -28,11 +28,18 @@ a carrier take a whole row per call, through the class-level
 ``FiniteRingView._mul_row`` and ``_mul_col``; single products go through
 ``_mul``.  Wrapping those three methods counts every key product.
 
-A corner of N keys costs N^2 key products for its units and its
-commutation relation together, and keeps the relation as N^2 flag bytes.
-Until the whole-ring corner exists, one key's commutant is a scan of 2N
-products, so a single ``qp decompose --oracle`` check stays O(N); the
-exhaustive verbs build that corner and read every commutant from it.
+A corner's units and its commutation relation come from one pass over
+the mask positions.  Entry t of a*b and of b*a reads only the slots in
+t's product terms (3 of T3's 5 at most), so the pass projects the carrier
+onto those slots and evaluates the two entries once per unordered pair of
+distinct projections, through the class-level
+``FiniteRingView._entry_row``; wrapping it counts every evaluation.  Each
+projection's flags are spread to carrier order and the positions are met
+as ints, one per element with one bit per carrier element: the relation
+keeps N^2 bits, and comm(a) <= comm(p) is one int test.  Until the
+whole-ring corner exists, one key's commutant is a scan of 2N products,
+so a single ``qp decompose --oracle`` check stays O(N); the exhaustive
+verbs build that corner and read every commutant from it.
 N^2 is capped at 2^24, which admits 4,096 keys; the ns x ns scalar
 tables are capped at 10^6 entries.  Both caps are checked before
 anything is enumerated or tabulated.
@@ -40,14 +47,18 @@ anything is enumerated or tabulated.
 
 from __future__ import annotations
 
-from itertools import compress, product, repeat
-from operator import eq
+from itertools import compress, product, starmap
+from operator import and_, eq, itemgetter
 
 from .matrices import Shape, ShapedMatrix
 from .rings import InfiniteRing, LocalRing, QpolarError
 
 KEY_PRODUCT_CAP = 2**24
 TABLE_CAP = 10**6
+
+# Flag bytes 0 and 1 as the binary digits that int(..., 2) reads, and back.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class NotIdempotent(QpolarError):
@@ -69,34 +80,41 @@ def _straight_line(npos: int, slots: list, tables: dict, hoist: str = ""):
 
 
 class _Relation:
-    """The relation a*b == b*a on a carrier, one flag byte per ordered pair.
+    """The relation a*b == b*a on a carrier, one int per element: bit i of
+    a's int, counted from carrier[0] at the most significant end, is set
+    when a commutes with carrier[i].
 
     Read like the view's commutant cache (``in`` and ``get``), it gives each
     carrier element's commutant in carrier order, so the whole ring's
     relation replaces that cache once the whole-ring corner exists.
     """
 
-    __slots__ = ("carrier", "_flags", "_index")
+    __slots__ = ("carrier", "_rows")
 
-    def __init__(self, carrier: tuple, flags: bytearray):
+    def __init__(self, carrier: tuple, rows: list):
         self.carrier = carrier
-        self._flags = flags
-        self._index = {k: i for i, k in enumerate(carrier)}
+        self._rows = dict(zip(carrier, rows))
 
     def __contains__(self, a) -> bool:
-        return a in self._index
+        return a in self._rows
 
     def get(self, a) -> tuple:
-        return tuple(compress(self.carrier, self._row(a)))
+        bits = f"{self._rows[a]:0{len(self.carrier)}b}".encode()
+        return tuple(compress(self.carrier, bits.translate(_FLAGS)))
 
     def within(self, a, p) -> bool:
-        """comm(a) <= comm(p), as flag rows read as integers."""
-        return not int.from_bytes(self._row(a), "big") & ~int.from_bytes(self._row(p), "big")
+        """comm(a) <= comm(p)."""
+        return not self._rows[a] & ~self._rows[p]
 
-    def _row(self, a) -> bytearray:
-        n = len(self.carrier)
-        row = self._index[a] * n
-        return self._flags[row : row + n]
+
+def _two_sided(e_t, pairs) -> bytes:
+    """Flags for x*y == e == y*x at one position."""
+    return bytes(map((e_t, e_t).__eq__, pairs))
+
+
+def _commute(e_t, pairs) -> bytes:
+    """Flags for x*y == y*x at one position."""
+    return bytes(starmap(eq, pairs))
 
 
 class _Corner:
@@ -104,45 +122,66 @@ class _Corner:
     relation, radical and quasinilpotence test.  The whole ring is the corner
     at the identity.
 
-    One pass over the unordered pairs {a, b} of the N carrier elements makes
-    a*b and b*a once each (a*a once): N^2 key products, from which it keeps
-    both the units (by two-sided inverses) and the relation a*b == b*a.
+    Units and the relation come from one pass over the mask positions.  Entry
+    t of a*b and of b*a reads only the slots in t's product terms, so the
+    pass evaluates the pair of entries once for each pair of distinct
+    projections of the carrier onto those slots, spreads each projection's
+    flags to carrier order and meets the positions as ints.  x is a unit when
+    some y has x*y == e == y*x.  The relation is built with the units for the
+    whole ring, which every comm^2 check reads, and on first read elsewhere.
     """
 
-    __slots__ = ("identity", "carrier", "units", "commuting", "_jacobson", "_units_minus_e",
+    __slots__ = ("identity", "carrier", "units", "_commuting", "_jacobson", "_units_minus_e",
                  "_view")
 
-    def __init__(self, view: FiniteRingView, e_key, carrier: tuple):
+    def __init__(self, view: FiniteRingView, e_key, carrier: tuple, commuting: bool):
         self._view = view
         self.identity = e_key
         self.carrier = carrier
-        mul, mul_row, mul_col = view._mul, view._mul_row, view._mul_col
-        n = len(carrier)
-        flags = bytearray(n * n)
-        rights = set()
-        lefts = set()
-        for i, a in enumerate(carrier):
-            rest = carrier[i + 1 :]
-            ab = mul_row(a, rest)
-            ba = mul_col(a, rest)
-            commute = bytes(map(eq, ab, ba))
-            # Row i right of the diagonal, and column i below it.
-            row = i * n
-            flags[row + i + 1 : row + n] = flags[row + n + i :: n] = commute
-            # x*y == e gives x a right inverse and y a left one.
-            if mul(a, a) == e_key:
-                rights.add(a)
-                lefts.add(a)
-            if e_key in ab:
-                rights.add(a)
-                lefts.update(compress(rest, map(eq, ab, repeat(e_key))))
-            if e_key in ba:
-                lefts.add(a)
-                rights.update(compress(rest, map(eq, ba, repeat(e_key))))
-        flags[:: n + 1] = b"\x01" * n
-        self.units = frozenset(rights & lefts)
-        self.commuting = _Relation(carrier, flags)
+        met = self._meet([_two_sided, _commute] if commuting else [_two_sided])
+        self.units = frozenset(compress(carrier, met[0]))
+        self._commuting = _Relation(carrier, met[1]) if commuting else None
         self._jacobson = self._units_minus_e = None
+
+    def _meet(self, tests) -> list:
+        """For each test, one int per carrier element x whose bit i (counted
+        as in :class:`_Relation`) is set when the test holds for (x,
+        carrier[i]) at every mask position.  A test maps e's entry e_t and
+        the pairs ((u*v)_t, (v*u)_t), v over distinct projections, to one
+        flag byte per pair; both tests are symmetric in u and v."""
+        view, carrier, e_key = self._view, self.carrier, self.identity
+        met = [None] * len(tests)
+        for t, slots in enumerate(view._entry_slots):
+            proj = list(zip(*(map(itemgetter(s), carrier) for s in slots)))
+            distinct = list(dict.fromkeys(proj))
+            n = len(distinct)
+            order = list(map(dict(zip(distinct, range(n))).__getitem__, proj))
+            # A projection's row of binary digits, spread to carrier order.
+            if n <= 256:
+                order_bytes = bytes(order)
+                spread = lambda row: order_bytes.translate(row.ljust(256, b"0"))
+            else:
+                pick = itemgetter(*order)
+                spread = lambda row: bytes(pick(row))
+            # An n x n digit table per test, each row evaluated from the
+            # diagonal on and copied down its column.
+            tables = [bytearray(n * n) for _ in tests]
+            for i, u in enumerate(distinct):
+                pairs = view._entry_row(t, u, distinct[i:])
+                for table, test in zip(tables, tests):
+                    table[i * n + i : i * n + n] = table[i * n + i :: n] = (
+                        test(e_key[t], pairs).translate(_DIGITS))
+            for k, table in enumerate(tables):
+                rows = [int(spread(table[i : i + n]), 2) for i in range(0, n * n, n)]
+                got = list(map(rows.__getitem__, order))
+                met[k] = got if met[k] is None else list(map(and_, met[k], got))
+        return met
+
+    @property
+    def commuting(self) -> _Relation:
+        if self._commuting is None:
+            self._commuting = _Relation(self.carrier, self._meet([_commute])[0])
+        return self._commuting
 
     @property
     def jacobson(self) -> frozenset:
@@ -202,9 +241,9 @@ class FiniteRingView:
         diag = [pos_index[(i, i)] for i in range(shape.n)]
 
         # A sum starts at its first term; adding it to zero changes nothing.
-        def sums(term):
+        def sums(term, terms=self._prod_terms):
             out = []
-            for (ia, ib), *rest in self._prod_terms:
+            for (ia, ib), *rest in terms:
                 expr = term(ia, ib)
                 for ia, ib in rest:
                     expr = f"A[{expr}][{term(ia, ib)}]"
@@ -223,6 +262,16 @@ class FiniteRingView:
                                      "; ".join(f"r{i} = M[a{i}]" for i in slots))
         self._col_k = _straight_line(npos, sums(lambda i, j: f"c{j}[b{i}]"), tables,
                                      "; ".join(f"c{i} = T[a{i}]" for i in slots))
+        # Entry t of a row and of a column at once, on keys projected onto
+        # the slots of t's product terms.
+        self._entry_slots, self._entry_k = [], []
+        for terms in self._prod_terms:
+            local = {s: i for i, s in enumerate(sorted({s for term in terms for s in term}))}
+            on = [[(local[ia], local[ib]) for ia, ib in terms]]
+            hoist = "; ".join(f"r{i} = M[a{i}]; c{i} = T[a{i}]" for i in local.values())
+            entries = sums(lambda i, j: f"r{i}[b{j}]", on) + sums(lambda i, j: f"c{j}[b{i}]", on)
+            self._entry_slots.append(tuple(local))
+            self._entry_k.append(_straight_line(len(local), entries, tables, hoist))
 
         self.keys = tuple(product(range(ns), repeat=npos))
         z, o = self._zero_s, self._one_s
@@ -246,6 +295,9 @@ class FiniteRingView:
 
     def _mul_col(self, a, bs) -> list:
         return self._col_k(a, bs)  # [b*a for b in bs]
+
+    def _entry_row(self, t, a, bs) -> list:
+        return self._entry_k[t](a, bs)  # [((a*b)_t, (b*a)_t) for b in bs], on projections
 
     # -- conversions ---------------------------------------------------------
 
@@ -346,13 +398,15 @@ class FiniteRingView:
     def _corner(self, e_key) -> _Corner:
         got = self._corners.get(e_key)
         if got is None:
-            if e_key == self.one_key:
+            whole = e_key == self.one_key
+            if whole:
                 carrier = self.keys  # 1*k*1 = k: no products needed
             else:
                 row = self._mul_row(e_key, self.keys)
                 carrier = tuple(dict.fromkeys(self._mul_col(e_key, row)))
-            got = self._corners[e_key] = _Corner(self, e_key, carrier)
-            if e_key == self.one_key:
+            # The whole ring's relation answers every comm^2 check.
+            got = self._corners[e_key] = _Corner(self, e_key, carrier, whole)
+            if whole:
                 self._comm_cache = got.commuting
         return got
 

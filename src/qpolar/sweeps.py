@@ -93,7 +93,7 @@ def t3_case_sweep(ring: LocalRing) -> SweepReport:
     """Every T3 matrix over a finite ring: construct the witness, verify all
     invariants, and confirm comm^2 membership by enumerating the commutant."""
     view = get_view(ring, T3)
-    view._corner(view.one_key)  # one N^2 pass: the relation every comm^2 check reads
+    view._corner(view.one_key)  # one mask-position pass: the relation every comm^2 check reads
 
     def check(k, a):
         oracle_recheck(quasipolar_witness_t3(a), view)

@@ -6,7 +6,8 @@ key arithmetic against direct matrix arithmetic.
 """
 
 import random
-from itertools import repeat
+from itertools import compress, repeat
+from operator import eq
 
 import pytest
 
@@ -68,6 +69,21 @@ def count_key_products(monkeypatch) -> list:
     monkeypatch.setattr(FiniteRingView, "_mul", counted(FiniteRingView._mul, lambda _: 1))
     for name in ("_mul_row", "_mul_col"):
         monkeypatch.setattr(FiniteRingView, name, counted(getattr(FiniteRingView, name), len))
+    return calls
+
+
+def count_entry_evaluations(monkeypatch) -> list:
+    """A list that grows by one per pair of projections whose entries a
+    corner's mask-position pass evaluates: the length of each ``_entry_row``."""
+    calls = []
+    entry_row = FiniteRingView._entry_row
+
+    def counted(self, t, a, bs):
+        out = entry_row(self, t, a, bs)
+        calls.extend(repeat(None, len(out)))
+        return out
+
+    monkeypatch.setattr(FiniteRingView, "_entry_row", counted)
     return calls
 
 
@@ -357,14 +373,21 @@ class TestGeneratedKernels:
             assert val(view._sub(a, b)) == val(a) - val(b)
 
     @pytest.mark.parametrize(
-        "sweep,ring,products",
+        "sweep,ring,products,evaluations",
         [
-            # N^2 for N = 243: the whole-ring corner's one pass, whose
-            # relation answers every comm^2 check.
-            (t3_case_sweep, PrimeField(3), 59_049),
-            # N^2 for N = 1,024: the key-product baseline of a seed-1
-            # oracle-sweep pass (2,344,960 before the one-pass corner).
-            (t3_case_sweep, IntegersMod(2, 2), 1_048_576),
+            # The whole-ring corner's pass, whose relation answers every comm^2
+            # check, evaluates m(m+1)/2 pairs at a position with m distinct
+            # projections: 27 and 64 at T3's two off-diagonal positions, 3
+            # and 4 at its three diagonal ones.  59,049 and 1,048,576 key
+            # products (N^2 for N = 243 and 1,024) while that corner took a
+            # product for every pair of keys; over Z2^2, 2,344,960 before the
+            # one-pass corner.
+            (t3_case_sweep, PrimeField(3), 0, 774),
+            (t3_case_sweep, IntegersMod(2, 2), 0, 4_190),
+            # The passes: 512 projections at T2's off-diagonal position and
+            # 8 at each diagonal one; 64 at each of M2's four positions.
+            # 296,448 and 81,792 key products while the whole-ring corner took
+            # a product for every pair of keys (N^2 = 262,144 and 65,536).
             # 296,960 and 81,696 before the search read p*a and a*p as one
             # column and one row, reusing a*p for the qnil test (-512 and
             # -288), and before each qnil test computed its whole row instead
@@ -372,18 +395,22 @@ class TestGeneratedKernels:
             # 1,078,144 and 245,376 while each comm^2 check scanned
             # commutants; 1,172,352 and 258,176 before that, while each
             # witness was rechecked on top of the search that subsumes it.
-            (t2_exhaustive_sweep, IntegersMod(2, 3), 296_448),
-            (m2_agreement_sweep, IntegersMod(2, 2), 81_792),
+            (t2_exhaustive_sweep, IntegersMod(2, 3), 34_304, 131_400),
+            (m2_agreement_sweep, IntegersMod(2, 2), 16_256, 8_320),
         ],
         ids=["t3-case-F3", "t3-case-Z2^2", "t2-exhaustive-Z2^3", "m2-agreement-Z2^2"],
     )
-    def test_sweep_costs_pinned_key_products(self, monkeypatch, sweep, ring, products):
-        # A cost pin: commutants come from the products the unit scan makes
-        # anyway, and every product stays visible on the class-level method.
+    def test_sweep_costs_pinned_key_products(self, monkeypatch, sweep, ring, products,
+                                             evaluations):
+        # A cost pin: units and commutants come from one pass over the mask
+        # positions, and every product and entry evaluation stays visible on
+        # a class-level method.
         calls = count_key_products(monkeypatch)
+        entries = count_entry_evaluations(monkeypatch)
         report = sweep(ring)
         assert not report.failures
         assert len(calls) == products
+        assert len(entries) == evaluations
 
     @pytest.mark.parametrize("sweep", [t2_exhaustive_sweep, m2_agreement_sweep])
     def test_sweeps_require_the_only_search_hit(self, z4, monkeypatch, sweep):
@@ -494,18 +521,66 @@ class TestWholeRingCorner:
                     pairs += 1
         assert pairs > len(view.keys)
 
-    def test_t3_rad_clean_sweep_over_f3_costs_115580_key_products(self, monkeypatch):
-        # The unit scan runs once per view, shared by units, the radical
-        # and every qnil test through the corner at one.  103,595 while the
-        # radical scan stopped at the first y with e - x*y no unit; each
+    def test_t3_rad_clean_sweep_over_f3_costs_pinned(self, monkeypatch):
+        # The unit pass runs once per corner, shared by units, the radical
+        # and every qnil test; idempotent corners build no relation.
+        # 115,580 key products while each corner took a product for every
+        # pair of its keys (59,049 for the whole ring alone).  103,595 while
+        # the radical scan stopped at the first y with e - x*y no unit; each
         # survivor of the y = e test now computes its whole row (+12,561),
         # and the search reuses e*a for e*a*e (-576).
         calls = count_key_products(monkeypatch)
+        entries = count_entry_evaluations(monkeypatch)
         report = t3_rad_clean_sweep(PrimeField(3))
         assert not report.failures
-        assert len(calls) == 115_580
+        assert len(calls) == 51_292
+        assert len(entries) == 3_656
         view = get_view(PrimeField(3), T3)
         assert view.units is view._corner(view.one_key).units
+        assert all(c._commuting is None for e, c in view._corners.items() if e != view.one_key)
+
+
+def pairwise_corner(view, corner):
+    """A corner's units and commutants by the pairwise loop the mask-position
+    pass replaced: a row a*b and a column b*a for every carrier element a."""
+    e, carrier = corner.identity, corner.carrier
+    rights, lefts, commutants = set(), set(), {}
+    for a in carrier:
+        ab, ba = view._mul_row(a, carrier), view._mul_col(a, carrier)
+        commutants[a] = tuple(compress(carrier, map(eq, ab, ba)))
+        if e in ab:
+            rights.add(a)
+        if e in ba:
+            lefts.add(a)
+    return frozenset(rights & lefts), commutants
+
+
+class TestMaskPositionPass:
+    @pytest.mark.parametrize(
+        "ring,shape,projections",
+        [(IntegersMod(2, 2), T3, 64), (IntegersMod(2, 3), T2, 512), (PrimeField(2), M3, 32)],
+        ids=["T3-Z2^2", "T2-Z2^3", "M3-F2"],
+    )
+    def test_whole_ring_equal_to_the_pairwise_loop(self, ring, shape, projections):
+        # T2 over Z2^3 has a position with more than 256 projections, whose
+        # flags are spread to carrier order without bytes.translate.
+        view = FiniteRingView(ring, shape)
+        most = max(len(set(zip(*([k[s] for k in view.keys] for s in slots))))
+                   for slots in view._entry_slots)
+        assert most == projections
+        corner = view._corner(view.one_key)
+        units, commutants = pairwise_corner(view, corner)
+        assert corner.units == units == loop_units(view)[0]
+        assert all(corner.commuting.get(a) == want for a, want in commutants.items())
+
+    def test_every_idempotent_corner_of_tn4_equal_to_the_pairwise_loop(self, f2):
+        view = FiniteRingView(f2, TN(4))
+        assert len(view.idempotent_keys) == 162
+        for e in view.idempotent_keys:
+            corner = view._corner(e)
+            units, commutants = pairwise_corner(view, corner)
+            assert corner.units == units
+            assert all(corner.commuting.get(a) == want for a, want in commutants.items())
 
 
 class TestCommutationRelation:

@@ -28,18 +28,19 @@ a carrier take a whole row per call, through the class-level
 ``FiniteRingView._mul_row`` and ``_mul_col``; single products go through
 ``_mul``.  Wrapping those three methods counts every key product.
 
-A corner's units and its commutation relation come from one pass over
-the mask positions.  Entry t of a*b and of b*a reads only the slots in
-t's product terms (3 of T3's 5 at most), so the pass projects the carrier
+A corner's units and its commutants come from one pass over the mask
+positions.  Entry t of a*b and of b*a reads only the slots in t's
+product terms (3 of T3's 5 at most), so the pass projects the carrier
 onto those slots and evaluates the two entries once per unordered pair of
 distinct projections, through the class-level
 ``FiniteRingView._entry_row``; wrapping it counts every evaluation.  Each
 projection's flags are spread to carrier order and the positions are met
-as ints, one per element with one bit per carrier element: the relation
-keeps N^2 bits, and comm(a) <= comm(p) is one int test.  Until the
-whole-ring corner exists, one key's commutant is a scan of 2N products,
-so a single ``qp decompose --oracle`` check stays O(N); the exhaustive
-verbs build that corner and read every commutant from it.
+as ints.  Every commutant is one such int over its carrier, bit i set
+when the element commutes with carrier[i] (carrier[0] at the most
+significant end), so comm(a) <= comm(p) is one int test.  The view caches
+each key's commutant: until the whole-ring corner exists, it is a scan of
+2N products, so a single ``qp decompose --oracle`` check stays O(N); the
+exhaustive verbs build that corner, whose pass fills the cache at once.
 N^2 is capped at 2^24, which admits 4,096 keys; the ns x ns scalar
 tables are capped at 10^6 entries.  Both caps are checked before
 anything is enumerated or tabulated.
@@ -79,32 +80,10 @@ def _straight_line(npos: int, slots: list, tables: dict, hoist: str = ""):
     return namespace["f"]
 
 
-class _Relation:
-    """The relation a*b == b*a on a carrier, one int per element: bit i of
-    a's int, counted from carrier[0] at the most significant end, is set
-    when a commutes with carrier[i].
-
-    Read like the view's commutant cache (``in`` and ``get``), it gives each
-    carrier element's commutant in carrier order, so the whole ring's
-    relation replaces that cache once the whole-ring corner exists.
-    """
-
-    __slots__ = ("carrier", "_rows")
-
-    def __init__(self, carrier: tuple, rows: list):
-        self.carrier = carrier
-        self._rows = dict(zip(carrier, rows))
-
-    def __contains__(self, a) -> bool:
-        return a in self._rows
-
-    def get(self, a) -> tuple:
-        bits = f"{self._rows[a]:0{len(self.carrier)}b}".encode()
-        return tuple(compress(self.carrier, bits.translate(_FLAGS)))
-
-    def within(self, a, p) -> bool:
-        """comm(a) <= comm(p)."""
-        return not self._rows[a] & ~self._rows[p]
+def _members(carrier: tuple, bits: int) -> tuple:
+    """The elements of carrier whose bits are set, carrier[0] at the most
+    significant end."""
+    return tuple(compress(carrier, f"{bits:0{len(carrier)}b}".encode().translate(_FLAGS)))
 
 
 def _two_sided(e_t, pairs) -> bytes:
@@ -118,17 +97,18 @@ def _commute(e_t, pairs) -> bytes:
 
 
 class _Corner:
-    """The corner ring e*R*e with identity e: its carrier, units, commutation
-    relation, radical and quasinilpotence test.  The whole ring is the corner
-    at the identity.
+    """The corner ring e*R*e with identity e: its carrier, units, commutants,
+    radical and quasinilpotence test.  The whole ring is the corner at the
+    identity.
 
-    Units and the relation come from one pass over the mask positions.  Entry
+    Units and commutants come from one pass over the mask positions.  Entry
     t of a*b and of b*a reads only the slots in t's product terms, so the
     pass evaluates the pair of entries once for each pair of distinct
     projections of the carrier onto those slots, spreads each projection's
     flags to carrier order and meets the positions as ints.  x is a unit when
-    some y has x*y == e == y*x.  The relation is built with the units for the
-    whole ring, which every comm^2 check reads, and on first read elsewhere.
+    some y has x*y == e == y*x.  The commutants are built with the units for
+    the whole ring, which every comm^2 check reads, and on first read
+    elsewhere.
     """
 
     __slots__ = ("identity", "carrier", "units", "_commuting", "_jacobson", "_units_minus_e",
@@ -140,12 +120,12 @@ class _Corner:
         self.carrier = carrier
         met = self._meet([_two_sided, _commute] if commuting else [_two_sided])
         self.units = frozenset(compress(carrier, met[0]))
-        self._commuting = _Relation(carrier, met[1]) if commuting else None
+        self._commuting = dict(zip(carrier, met[1])) if commuting else None
         self._jacobson = self._units_minus_e = None
 
     def _meet(self, tests) -> list:
         """For each test, one int per carrier element x whose bit i (counted
-        as in :class:`_Relation`) is set when the test holds for (x,
+        as in :func:`_members`) is set when the test holds for (x,
         carrier[i]) at every mask position.  A test maps e's entry e_t and
         the pairs ((u*v)_t, (v*u)_t), v over distinct projections, to one
         flag byte per pair; both tests are symmetric in u and v."""
@@ -178,9 +158,10 @@ class _Corner:
         return met
 
     @property
-    def commuting(self) -> _Relation:
+    def commuting(self) -> dict:
+        """Each carrier element's commutant, as bits over the carrier."""
         if self._commuting is None:
-            self._commuting = _Relation(self.carrier, self._meet([_commute])[0])
+            self._commuting = dict(zip(self.carrier, self._meet([_commute])[0]))
         return self._commuting
 
     @property
@@ -278,7 +259,7 @@ class FiniteRingView:
         self.zero_key = tuple(z for _ in range(npos))
         self.one_key = tuple(o if i in diag else z for i in range(npos))
 
-        self._comm_cache: dict | _Relation = {}
+        self._comm_cache: dict = {}
         self._qnil_cache: dict = {}
         self._idempotents: tuple | None = None
         self._corners: dict = {}
@@ -340,13 +321,15 @@ class FiniteRingView:
     # -- key-level queries (cached) --------------------------------------------
 
     def commutant_keys(self, a) -> tuple:
-        # A dict of 2N-product scans until the whole-ring corner exists,
-        # then that corner's relation, which holds every key.
+        return _members(self.keys, self._commutant(a))
+
+    def _commutant(self, a) -> int:
+        # A 2N-product scan until the whole-ring corner fills the cache.
         got = self._comm_cache.get(a)
         if got is None:
             keys = self.keys
-            got = tuple(compress(keys, map(eq, self._mul_row(a, keys), self._mul_col(a, keys))))
-            self._comm_cache[a] = got
+            flags = bytes(map(eq, self._mul_row(a, keys), self._mul_col(a, keys)))
+            got = self._comm_cache[a] = int(flags.translate(_DIGITS), 2)
         return got
 
     def double_commutant_keys(self, a) -> tuple:
@@ -355,9 +338,7 @@ class FiniteRingView:
 
     def in_double_commutant(self, p, a) -> bool:
         """p commutes with everything that commutes with a: comm(a) <= comm(p)."""
-        if isinstance(self._comm_cache, _Relation):
-            return self._comm_cache.within(a, p)
-        return set(self.commutant_keys(p)).issuperset(self.commutant_keys(a))
+        return not self._commutant(a) & ~self._commutant(p)
 
     def is_qnil_key(self, a) -> bool:
         got = self._qnil_cache.get(a)
@@ -404,9 +385,8 @@ class FiniteRingView:
             else:
                 row = self._mul_row(e_key, self.keys)
                 carrier = tuple(dict.fromkeys(self._mul_col(e_key, row)))
-            # The whole ring's relation answers every comm^2 check.
             got = self._corners[e_key] = _Corner(self, e_key, carrier, whole)
-            if whole:
+            if whole:  # its carrier is self.keys: every key's commutant at once
                 self._comm_cache = got.commuting
         return got
 
@@ -421,7 +401,7 @@ class FiniteRingView:
             return False
         af = mul(a, f)
         corner_f = self._corner(f)
-        return corner_f.is_qnil(af, corner_f.commuting.get(af))
+        return corner_f.is_qnil(af, _members(corner_f.carrier, corner_f.commuting[af]))
 
 
 _VIEW_CACHE: dict = {}

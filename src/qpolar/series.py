@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .m2 import NotQuasipolarError, M2Kind, classify_m2, quasipolar_witness_m2
+from .m2 import NotQuasipolarError, M2Kind, classify_m2, find_root_split, quasipolar_witness_m2
 from .matrices import M2, QuadraticCharPoly, ShapedMatrix, UnsupportedShape
 from .rings import QpolarError, RingElement, TruncatedSeriesRing
 from .witnesses import QuasipolarWitness, WitnessInvalid
@@ -113,8 +113,6 @@ def lift_split(chi: QuadraticCharPoly, ring: TruncatedSeriesRing) -> tuple:
     roots of chi at full precision.  Raises NoConstantSplit when the
     constant quadratic has no radical root over the base ring.
     """
-    from .m2 import find_root_split
-
     base = ring.base
     chi0 = QuadraticCharPoly(tr=ring.constant_term(chi.tr), det=ring.constant_term(chi.det))
     try:

@@ -139,15 +139,10 @@ def quasipolar_witness_shape(a: ShapedMatrix) -> QuasipolarWitness:
     This is the one dispatch from a matrix's ring and shape to its
     engine.  M2 goes to the trace/determinant trichotomy, gated on the
     constant term over a series ring; every mask without middle indices
-    (see above) takes the diagonal-pattern idempotent, T2 and T3 through
-    their own entry points.  Raises NotQuasipolarError for an obstructed
-    M2 matrix.
+    (see above), T2 and T3 among them, takes the diagonal-pattern
+    idempotent.  Raises NotQuasipolarError for an obstructed M2 matrix.
     """
     shape = a.shape
-    if shape == T3:
-        return quasipolar_witness_t3(a)
-    if shape == T2:
-        return quasipolar_witness_t2(a)
     if shape == M2:
         if isinstance(a.ring, TruncatedSeriesRing):
             return quasipolar_witness_m2_series(a)

@@ -4,14 +4,18 @@
 path) only when a traced run installs it, so a deleted or renamed target
 would otherwise fail only there.  The file is read as source and run in
 a fresh namespace: nothing is installed and nothing under ``bench/`` is
-written.  (The tracer's commutant-hit counter also reads
-``view._comm_cache``, which ``tests/test_oracle.py`` exercises.)
+written.  The tracer's commutant-hit counter also reads
+``view._comm_cache`` with ``in``, so a view's cache must answer that both
+before and after its whole-ring corner is built.
 """
 
 import importlib
 import inspect
 import runpy
 from pathlib import Path
+
+from qpolar import T3, PrimeField
+from qpolar.oracle import FiniteRingView
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 NAMES = runpy.run_path(str(TRACING))
@@ -36,3 +40,13 @@ def resolves(module: str, path: str) -> bool:
 def test_every_traced_target_resolves():
     assert len(TARGETS) > 50
     assert [t for t in TARGETS if not resolves(*t)] == []
+
+
+def test_the_commutant_cache_answers_in_before_and_after_the_corner():
+    view = FiniteRingView(PrimeField(2), T3)
+    key = view.keys[1]
+    assert key not in view._comm_cache
+    view.commutant_keys(key)
+    assert key in view._comm_cache
+    view._corner(view.one_key)
+    assert all(k in view._comm_cache for k in view.keys)

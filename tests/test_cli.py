@@ -151,6 +151,22 @@ class TestExitCodes:
         code, _ = run(capsys, ["bleached", "--ring", "banana"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,why",
+        [
+            (["oracle", "--ring", "F2", "--shape", "T2", "--check", "rad-clean"],
+             "rad-clean sweep is defined for shape T3"),
+            (["oracle", "--ring", "F2", "--shape", "L3"], "no oracle sweep for shape L3"),
+            (["lift", "--ring", "F3", "--matrix", "[1,0; 0,2]"], "lift needs a series ring"),
+        ],
+        ids=["rad-clean-T2", "oracle-L3", "lift-F3"],
+    )
+    def test_verb_refusals_print_only_a_reason(self, capsys, argv, why):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert why in captured.err
+        assert captured.out == ""
+
     def test_bad_matrix_literal(self, capsys):
         code, _ = run(
             capsys,

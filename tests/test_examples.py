@@ -66,7 +66,9 @@ def test_each_example_splits_once_and_lifts_once(monkeypatch, build):
         counts["lift"] += 1
         return lift_root(*args)
 
+    # series imports find_root_split by name for the base-ring split.
     monkeypatch.setattr(m2, "find_root_split", counted_split)
+    monkeypatch.setattr(series, "find_root_split", counted_split)
     monkeypatch.setattr(series, "lift_root", counted_lift)
     assert verify_example(build()).passed
     assert counts == {"split": 1, "lift": 1}

@@ -34,10 +34,12 @@ product terms (3 of T3's 5 at most), so the pass projects the carrier
 onto those slots and evaluates the two entries once per unordered pair of
 distinct projections, through the class-level
 ``FiniteRingView._entry_row``; wrapping it counts every evaluation.  Each
-projection's flags are spread to carrier order and the positions are met
-as ints.  Every commutant is one such int over its carrier, bit i set
-when the element commutes with carrier[i] (carrier[0] at the most
-significant end), so comm(a) <= comm(p) is one int test.  The view caches
+distinct projection's members are one bitmask over the carrier, a pair
+that passes a test ORs each side's mask into the other's row, each
+element reads its projection's row, and the positions are met with &.
+Every commutant is one such int over its carrier, bit i set when the
+element commutes with carrier[i] (carrier[0] at the most significant
+end), so comm(a) <= comm(p) is one int test.  The view caches
 each key's commutant: until the whole-ring corner exists, it is a scan of
 2N products, so a single ``qp decompose --oracle`` check stays O(N); the
 exhaustive verbs build that corner, whose pass fills the cache at once.
@@ -104,8 +106,9 @@ class _Corner:
     Units and commutants come from one pass over the mask positions.  Entry
     t of a*b and of b*a reads only the slots in t's product terms, so the
     pass evaluates the pair of entries once for each pair of distinct
-    projections of the carrier onto those slots, spreads each projection's
-    flags to carrier order and meets the positions as ints.  x is a unit when
+    projections of the carrier onto those slots, builds each projection's
+    row as the OR of the member bitmasks of the projections it passes with,
+    and meets the positions with &.  x is a unit when
     some y has x*y == e == y*x.  The commutants are built with the units for
     the whole ring, which every comm^2 check reads, and on first read
     elsewhere.
@@ -128,32 +131,28 @@ class _Corner:
         as in :func:`_members`) is set when the test holds for (x,
         carrier[i]) at every mask position.  A test maps e's entry e_t and
         the pairs ((u*v)_t, (v*u)_t), v over distinct projections, to one
-        flag byte per pair; both tests are symmetric in u and v."""
+        flag byte per pair; both tests are symmetric in u and v, so a flag
+        set for (u, v) ORs v's members into u's row and u's into v's.  An
+        element's bits at position t are its projection's row."""
         view, carrier, e_key = self._view, self.carrier, self.identity
         met = [None] * len(tests)
         for t, slots in enumerate(view._entry_slots):
             proj = list(zip(*(map(itemgetter(s), carrier) for s in slots)))
-            distinct = list(dict.fromkeys(proj))
+            # Each distinct projection's members, as bits over the carrier.
+            members = dict.fromkeys(proj, 0)
+            for bit, u in zip(range(len(carrier) - 1, -1, -1), proj):
+                members[u] |= 1 << bit
+            distinct, masks = list(members), list(members.values())
             n = len(distinct)
-            order = list(map(dict(zip(distinct, range(n))).__getitem__, proj))
-            # A projection's row of binary digits, spread to carrier order.
-            if n <= 256:
-                order_bytes = bytes(order)
-                spread = lambda row: order_bytes.translate(row.ljust(256, b"0"))
-            else:
-                pick = itemgetter(*order)
-                spread = lambda row: bytes(pick(row))
-            # An n x n digit table per test, each row evaluated from the
-            # diagonal on and copied down its column.
-            tables = [bytearray(n * n) for _ in tests]
+            rows = [[0] * n for _ in tests]
             for i, u in enumerate(distinct):
                 pairs = view._entry_row(t, u, distinct[i:])
-                for table, test in zip(tables, tests):
-                    table[i * n + i : i * n + n] = table[i * n + i :: n] = (
-                        test(e_key[t], pairs).translate(_DIGITS))
-            for k, table in enumerate(tables):
-                rows = [int(spread(table[i : i + n]), 2) for i in range(0, n * n, n)]
-                got = list(map(rows.__getitem__, order))
+                for row, test in zip(rows, tests):
+                    for j in compress(range(i, n), test(e_key[t], pairs)):
+                        row[i] |= masks[j]
+                        row[j] |= masks[i]
+            for k, row in enumerate(rows):
+                got = list(map(dict(zip(distinct, row)).__getitem__, proj))
                 met[k] = got if met[k] is None else list(map(and_, met[k], got))
         return met
 
@@ -283,7 +282,8 @@ class FiniteRingView:
     # -- conversions ---------------------------------------------------------
 
     def key_of(self, value):
-        if not (isinstance(value, ShapedMatrix) and value.shape == self.shape):
+        if not (isinstance(value, ShapedMatrix) and value.shape == self.shape
+                and (value.ring is self.ring or value.ring == self.ring)):
             raise QpolarError(f"{value!r} does not live in this view")
         sidx = self._sidx
         return tuple(sidx[value.rows[i][j]] for (i, j) in self.positions)

@@ -583,23 +583,15 @@ def parse_ring(text: str) -> LocalRing:
             raise RingParseError(f"expected series(<ring>,<m>) in {text!r}")
         if s.count("series") > MAX_SERIES_DEPTH:
             raise RingParseError(f"series nested deeper than {MAX_SERIES_DEPTH} levels")
-        inner = rest[1:-1]
-        depth = 0
-        split_at = -1
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                split_at = i
-        if split_at < 0:
+        # The precision is an int, so the last comma splits off the base.
+        base_text, comma, m_text = rest[1:-1].rpartition(",")
+        if not comma:
             raise RingParseError(f"missing precision in {text!r}")
-        base = parse_ring(inner[:split_at])
         try:
-            m = int(inner[split_at + 1 :].strip())
+            m = int(m_text.strip())
         except ValueError:
             raise RingParseError(f"bad precision in {text!r}") from None
+        base = parse_ring(base_text)
         span, inner_ring = m, base
         while isinstance(inner_ring, TruncatedSeriesRing):
             span, inner_ring = span * inner_ring.precision, inner_ring.base

@@ -5,9 +5,13 @@ these tests pin small hand-checkable cases and cross-check the tabled
 key arithmetic against direct matrix arithmetic.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import compress, repeat
 from operator import eq
+from pathlib import Path
 
 import pytest
 
@@ -32,13 +36,14 @@ from qpolar import (
     classify_m2,
     get_view,
     m2_agreement_sweep,
+    quasipolar_witness_shape,
     t3_case_sweep,
     t3_rad_clean_sweep,
 )
 from qpolar import oracle
 from qpolar.matrices import Shape, ShapedMatrix
 from qpolar.oracle import FiniteRingView
-from qpolar.sweeps import t2_exhaustive_sweep
+from qpolar.sweeps import oracle_recheck, t2_exhaustive_sweep
 
 KERNEL_SHAPES = (T2, T3, L3, LOW3, UP3, S1, S2, M2)
 
@@ -263,6 +268,14 @@ class TestViewPlumbing:
             view.key_of(m2_of(z4, 1, 0, 0, 1))
         with pytest.raises(QpolarError):
             view.key_of(z4.element(1))
+
+    @pytest.mark.parametrize("ring", [IntegersMod(3, 1), PrimeField(5)], ids=repr)
+    def test_oracle_recheck_refuses_a_witness_over_another_ring(self, ring):
+        # Same shape, other ring: refused as foreign, not by a missing scalar.
+        view = get_view(PrimeField(3), T2)
+        a = ShapedMatrix.from_rows(ring, T2, [[1, 1], [0, 0]])
+        with pytest.raises(QpolarError, match="does not live in this view"):
+            oracle_recheck(quasipolar_witness_shape(a), view)
 
     def test_views_are_shared(self, z4):
         assert get_view(z4, T3) is get_view(z4, T3)
@@ -562,8 +575,8 @@ class TestMaskPositionPass:
         ids=["T3-Z2^2", "T2-Z2^3", "M3-F2"],
     )
     def test_whole_ring_equal_to_the_pairwise_loop(self, ring, shape, projections):
-        # T2 over Z2^3 has a position with more than 256 projections, whose
-        # flags are spread to carrier order without bytes.translate.
+        # Each case's most projections at one position, from 32 (M3 over F2)
+        # to 512 (T2 over Z2^3), all through the one construction.
         view = FiniteRingView(ring, shape)
         most = max(len(set(zip(*([k[s] for k in view.keys] for s in slots))))
                    for slots in view._entry_slots)
@@ -583,6 +596,30 @@ class TestMaskPositionPass:
             assert corner.units == units
             assert all(oracle._members(corner.carrier, corner.commuting[a]) == want
                        for a, want in commutants.items())
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+    def test_whole_ring_corner_at_the_cap_grows_memory_by_less_than_n_squared_bytes(self):
+        # T2 over Z2^4: 4,096 keys, N^2 at the cap; a fresh process, so the
+        # peak before the corner is the view's own.
+        script = (
+            "import resource\n"
+            "from qpolar import IntegersMod, T2\n"
+            "from qpolar.oracle import FiniteRingView\n"
+            "view = FiniteRingView(IntegersMod(2, 4), T2)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "view._corner(view.one_key)\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(len(view.keys), grown * 1024)\n"
+        )
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        n, grown = map(int, proc.stdout.split())
+        assert n == 4096
+        assert grown < n * n
 
 
 class TestCommutationRelation:

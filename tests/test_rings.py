@@ -224,7 +224,8 @@ def test_parse_ring_grammar():
 
 
 def test_parse_ring_rejects_bad_spellings():
-    for bad in ("", "F4", "Z6^1", "Zloc4", "Z2", "series(F2)", "series(F2,0)", "banana"):
+    for bad in ("", "F4", "Z6^1", "Zloc4", "Z2", "series(F2)", "series(F2,0)", "banana",
+                "series(series(F2,2))", "series(F2,3,4)"):
         with pytest.raises(RingParseError):
             parse_ring(bad)
 

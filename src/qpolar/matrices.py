@@ -28,16 +28,17 @@ entry at a symmetric position is.  A triangular mask has one-index
 blocks, so its diagonal decides; the full 2x2 mask is one block.  M3 has
 both tests but no engine (see :mod:`qpolar.triangular`).
 
-Products, sums and differences compute on the entries' stored ``raw``
-values and ``cook`` each result entry once (see :mod:`qpolar.rings`).  A
-product sums raw values over the shape's product terms and puts the
-ring's zero off the mask; sums and differences combine every entry.
+Products, sums, differences and ``==`` run one straight-line kernel per
+shape, compiled from its product terms on first use (``Shape.kernels``).
+A kernel reads the mask entries' stored ``raw`` values, cooks each
+on-mask result once (see :mod:`qpolar.rings`) and puts the ring's zero
+off the mask; ``==`` compares raw values.  The oracle compiles its own
+key arithmetic and never calls these kernels, since it judges them.
 Shapes compare by value, never by name.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -98,15 +99,38 @@ class Shape:
                 for (i, j) in self.positions}
 
     @cached_property
-    def flat_terms(self) -> tuple:
-        """Per mask position, (slot, p, q, rest): entry i*n + j of a product sums
-        x[p]*y[q] over its first term, which k = i always gives, and each pair
-        in ``rest``, with (p, q) = (i*n + k, k*n + j) over row-major indices."""
-        n, got = self.n, []
-        for (i, j), ks in self.product_terms().items():
-            (p, q), *rest = [(i * n + k, k * n + j) for k in ks]
-            got.append((i * n + j, p, q, tuple(rest)))
-        return tuple(got)
+    def kernels(self) -> dict:
+        """Straight-line ``mul``, ``add``, ``sub`` and ``eq`` over the mask
+        entries, compiled from ``product_terms()`` on first use.  The first
+        three take ``(x, y, ring)``, two grids of elements and their ring,
+        read each mask entry's ``raw`` once and return the grid of each
+        on-mask result cooked once, the ring's ``zero`` off the mask (read
+        only when the mask leaves a position off); ``eq(x, y)`` compares the
+        mask entries' raw values."""
+        n, mask, terms = self.n, self.mask, self.product_terms()
+
+        def grid(entry, off):
+            # Trailing commas keep a 1x1 grid a tuple of one 1-tuple.
+            return "(" + "".join("(" + "".join(
+                f"{entry(i, j) if (i, j) in mask else off}, " for j in range(n)) + "), "
+                for i in range(n)) + ")"
+
+        head = "".join(f" {grid(lambda i, j: f'{v}{i}_{j}', '_')} = {v}\n" for v in "xy")
+        raw = "; ".join(f"{v}{i}_{j} = {v}{i}_{j}.raw" for v in "xy" for i, j in self.positions)
+        bodies = {
+            "mul": lambda i, j: f"cook({' + '.join(f'x{i}_{k} * y{k}_{j}' for k in terms[i, j])})",
+            "add": lambda i, j: f"cook(x{i}_{j} + y{i}_{j})",
+            "sub": lambda i, j: f"cook(x{i}_{j} - y{i}_{j})",
+        }
+        setup = " cook = ring.cook" + ("; zero = ring.zero" if len(mask) < n * n else "")
+        src = "".join(
+            f"def {name}(x, y, ring):\n{setup}\n{head} {raw}\n return {grid(entry, 'zero')}\n"
+            for name, entry in bodies.items())
+        src += f"def eq(x, y):\n{head} return " + " and ".join(
+            f"x{i}_{j}.raw == y{i}_{j}.raw" for i, j in self.positions) + "\n"
+        namespace = {}
+        exec(src, namespace)
+        return {name: namespace[name] for name in ("mul", "add", "sub", "eq")}
 
     @cached_property
     def has_no_middles(self) -> bool:
@@ -226,42 +250,22 @@ class ShapedMatrix:
                 f"cannot combine shapes {self.shape.name} and {other.shape.name}"
             )
 
-    def _flat_raw(self):
-        return [x.raw for row in self.rows for x in row]
-
-    def _from_flat(self, out) -> ShapedMatrix:
-        # zip over n copies of one iterator regroups the flat list into rows.
-        return ShapedMatrix(self.ring, self.shape, tuple(zip(*[iter(out)] * self.shape.n)))
-
-    def _entrywise(self, other, op) -> ShapedMatrix:
+    def _apply(self, kernel, other) -> ShapedMatrix:
         self._check_peer(other)
-        cook = self.ring.cook
-        return self._from_flat(
-            [cook(op(x, y)) for x, y in zip(self._flat_raw(), other._flat_raw())]
-        )
+        ring, shape = self.ring, self.shape
+        return ShapedMatrix(ring, shape, shape.kernels[kernel](self.rows, other.rows, ring))
 
     def __add__(self, other):
-        return self._entrywise(other, operator.add)
+        return self._apply("add", other)
 
     def __sub__(self, other):
-        return self._entrywise(other, operator.sub)
+        return self._apply("sub", other)
 
     def __neg__(self):
-        cook = self.ring.cook
-        return self._from_flat([cook(-x) for x in self._flat_raw()])
+        return ShapedMatrix.zero(self.ring, self.shape) - self
 
     def __mul__(self, other):
-        self._check_peer(other)
-        ring = self.ring
-        cook = ring.cook
-        xs, ys = self._flat_raw(), other._flat_raw()
-        out = [ring.zero] * len(xs)
-        for slot, p, q, rest in self.shape.flat_terms:
-            acc = xs[p] * ys[q]
-            for p, q in rest:
-                acc = acc + xs[p] * ys[q]
-            out[slot] = cook(acc)
-        return self._from_flat(out)
+        return self._apply("mul", other)
 
     def scale(self, c: RingElement) -> ShapedMatrix:
         """Multiply every entry by the scalar c (the base ring is commutative)."""
@@ -274,7 +278,7 @@ class ShapedMatrix:
             isinstance(other, ShapedMatrix)
             and (other.ring is self.ring or other.ring == self.ring)
             and (other.shape is self.shape or other.shape == self.shape)
-            and other.rows == self.rows
+            and self.shape.kernels["eq"](self.rows, other.rows)
         )
 
     def __hash__(self):

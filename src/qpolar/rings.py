@@ -591,7 +591,10 @@ def parse_ring(text: str) -> LocalRing:
             m = int(m_text.strip())
         except ValueError:
             raise RingParseError(f"bad precision in {text!r}") from None
-        base = parse_ring(base_text)
+        try:
+            base = parse_ring(base_text)
+        except RingParseError as exc:  # name the spelling as typed, not its base part
+            raise RingParseError(f"{exc} in {text!r}") from None
         span, inner_ring = m, base
         while isinstance(inner_ring, TruncatedSeriesRing):
             span, inner_ring = span * inner_ring.precision, inner_ring.base

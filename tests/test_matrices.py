@@ -173,7 +173,9 @@ def test_shape_refuses_a_position_off_its_grid(off):
 
 def test_shape_data_is_built_once_per_shape():
     assert TN(5) is TN(5)
-    for attr in ("positions", "flat_terms", "has_no_middles", "symmetric", "blocks"):
+    # The kernels compile on first use, never when a shape is built.
+    assert "kernels" not in vars(Shape("X", 5, TN(5).mask))
+    for attr in ("positions", "kernels", "has_no_middles", "symmetric", "blocks"):
         assert getattr(TN(5), attr) is getattr(TN(5), attr)
     assert TN(3).blocks == ((0,), (1,), (2,)) and TN(3).symmetric == ((0, 0), (1, 1), (2, 2))
     assert BLOCK.blocks == ((0, 1), (2,)) and M3.blocks == ((0, 1, 2),)
@@ -273,20 +275,18 @@ def test_json_round_trip_series(z4):
     assert matrix_from_json(a.to_json()) == a
 
 
-# The RingElement loops the raw-payload matrix kernel replaced, kept as
-# the reference it must agree with.
+# RingElement loops, the reference the compiled kernels must agree with.
+# The product is the full n x n triple loop, blind to the mask, so it
+# checks the shape's product terms too.
 
 
 def loop_mul(a, b):
-    n = a.shape.n
-    zero = a.ring.zero
-    grid = [[zero] * n for _ in range(n)]
-    for (i, j), ks in a.shape.product_terms().items():
-        acc = zero
-        for k in ks:
-            acc = acc + a.rows[i][k] * b.rows[k][j]
-        grid[i][j] = acc
-    return ShapedMatrix(a.ring, a.shape, tuple(tuple(r) for r in grid))
+    n, zero = a.shape.n, a.ring.zero
+    grid = tuple(
+        tuple(sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), zero) for j in range(n))
+        for i in range(n)
+    )
+    return ShapedMatrix(a.ring, a.shape, grid)
 
 
 def loop_add(a, b):
@@ -302,17 +302,30 @@ def loop_sub(a, b):
 
 
 def check_against_loops(a, b):
+    ring, shape = a.ring, a.shape
     for got, want in [
         (a * b, loop_mul(a, b)),
         (a + b, loop_add(a, b)),
         (a - b, loop_sub(a, b)),
     ]:
-        assert got == want
-        assert got.ring is a.ring and got.shape is a.shape
-        for row in got.rows:
-            for x in row:
-                assert x.ring is a.ring
+        assert got.rows == want.rows  # entry by entry, not through ShapedMatrix.__eq__
+        assert got == want and hash(got) == hash(want)
+        assert got.ring is ring and got.shape is shape
+        for i, row in enumerate(got.rows):
+            for j, x in enumerate(row):
+                assert x.ring is ring
                 assert_canonical(x)
+                if (i, j) not in shape.mask:
+                    assert x is ring.zero
+    # == reads every mask entry: a change at any one of them is seen.
+    for i, j in shape.positions:
+        rows = [list(r) for r in a.rows]
+        rows[i][j] = rows[i][j] + 1
+        changed = ShapedMatrix(ring, shape, tuple(map(tuple, rows)))
+        assert changed != a and a != changed
+    twin = ShapedMatrix(ring, shape, tuple(tuple(ring.cook(x.raw) for x in r) for r in a.rows))
+    assert twin == a and hash(twin) == hash(a)
+    assert (a == b) == (a.rows == b.rows)
 
 
 def random_shaped(rng, ring, shape, integral=False):
@@ -327,7 +340,7 @@ def random_shaped(rng, ring, shape, integral=False):
 KERNEL_RINGS = [
     "F3", "Z2^2", "Zloc2", "series(F2,3)", "series(Zloc2,4)", "series(series(F2,2),2)"
 ]
-KERNEL_SHAPES = [*SHAPES.values(), TN(4)]
+KERNEL_SHAPES = [*SHAPES.values(), TN(1), TN(4), BLOCK]
 
 
 class TestRawKernel:

@@ -1,6 +1,7 @@
 import inspect
 import operator
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -225,8 +226,12 @@ def test_parse_ring_grammar():
 
 def test_parse_ring_rejects_bad_spellings():
     for bad in ("", "F4", "Z6^1", "Zloc4", "Z2", "series(F2)", "series(F2,0)", "banana",
-                "series(series(F2,2))", "series(F2,3,4)"):
+                "series(series(F2,2))", "series(F2,3,4)", "series((F2,2),2)"):
         with pytest.raises(RingParseError):
+            parse_ring(bad)
+    # A refused base names the whole spelling, not only the fragment it read.
+    for bad in ("series(F2,3,4)", "series((F2,2),2)", "series(series(F9,2),2)"):
+        with pytest.raises(RingParseError, match=re.escape(repr(bad))):
             parse_ring(bad)
 
 

@@ -8,6 +8,11 @@ when the reader of stdout has gone, as in ``qp ... | head -c 100``.
 Output is deterministic: no timestamps, counts pre-sorted, JSON keys
 sorted.  ``main(argv)`` may be called any number of times in one
 process: it builds the argument parser on its first call and reuses it.
+
+Each verb is declared once, in ``build_parser``, with its handler.  A
+handler returns the request's document, its text lines and its verdict;
+``main`` alone prints the document (``--format json``) or the lines and
+maps the verdict to exit code 0 or 1.
 """
 
 from __future__ import annotations
@@ -35,10 +40,6 @@ from .witnesses import WitnessInvalid
 from .worked_examples import all_examples, verify_example
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=["text", "json"], default="text")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qp",
@@ -46,8 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    d = sub.add_parser("decompose", help="decompose one matrix in a supported shape")
-    d.add_argument("--ring", required=True)
+    def verb(name, run, about, ring=True, **ring_kw):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
+        if ring:
+            p.add_argument("--ring", required=True, **ring_kw)
+        return p
+
+    d = verb("decompose", _cmd_decompose, "decompose one matrix in a supported shape")
     d.add_argument("--shape", required=True)
     d.add_argument("--matrix", required=True)
     d.add_argument(
@@ -55,73 +62,73 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also recheck comm^2 membership by exhaustive enumeration (finite rings)",
     )
-    _add_common(d)
-
-    c = sub.add_parser("classify-m2", help="trichotomy of a full 2x2 matrix")
-    c.add_argument("--ring", required=True)
+    c = verb("classify-m2", _cmd_classify_m2, "trichotomy of a full 2x2 matrix")
     c.add_argument("--matrix", required=True)
-    _add_common(c)
-
-    l = sub.add_parser("lift", help="lift constant roots over a series ring")
-    l.add_argument("--ring", required=True, help="must spell a series(<ring>,<m>) ring")
+    l = verb("lift", _cmd_lift, "lift constant roots over a series ring",
+             help="must spell a series(<ring>,<m>) ring")
     l.add_argument("--matrix", required=True)
-    _add_common(l)
-
-    o = sub.add_parser("oracle", help="exhaustive sweep against the brute-force oracle")
-    o.add_argument("--ring", required=True)
+    o = verb("oracle", _cmd_oracle, "exhaustive sweep against the brute-force oracle")
     o.add_argument("--shape", required=True)
     o.add_argument(
         "--check",
         choices=["quasipolar", "rad-clean", "corner"],
         default="quasipolar",
     )
-    _add_common(o)
-
-    b = sub.add_parser("bleached", help="bleached / uniquely bleached check on a finite ring")
-    b.add_argument("--ring", required=True)
+    b = verb("bleached", _cmd_bleached, "bleached / uniquely bleached check on a finite ring")
     b.add_argument("--mode", choices=["unique", "surjective"], default="unique")
-    _add_common(b)
-
-    v = sub.add_parser("verify-t3", help="run the full triangular sweeps for one ring")
-    v.add_argument("--ring", required=True)
-    _add_common(v)
-
-    e = sub.add_parser("verify-examples", help="re-derive the pinned worked examples")
-    _add_common(e)
-
+    verb("verify-t3", _cmd_verify_t3, "run the full triangular sweeps for one ring")
+    verb("verify-examples", _cmd_verify_examples, "re-derive the pinned worked examples",
+         ring=False)
+    # Last on every verb, so each usage line ends with it.
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["text", "json"], default="text")
     return parser
-
-
-def _emit(args, payload: dict, lines: list) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
 
 
 def _check_lines(report, indent: str = "") -> list:
     return [f"{indent}check {name}: {'pass' if ok else 'FAIL'}" for name, ok in report.entries]
 
 
-def _add_witness(payload: dict, lines: list, w, oracle: bool) -> None:
-    """Put w in the payload and lines with its evidence label: every passing p is in
-    comm^2(A) (qpolar.witnesses), and the label says what else shows it."""
+def _sweep_lines(report, indent: str = "") -> list:
+    return ([f"  {label}: {count}" for label, count in report.counts.items()]
+            + [f"{indent}mismatch: {failure}" for failure in report.failures])
+
+
+def _not_quasipolar(payload: dict, lines: list, reason: str):
+    """A correct negative: the request succeeded."""
+    payload.update(reason=reason, ok=True)
+    lines.append(f"not quasipolar: {reason}")
+    return payload, lines, True
+
+
+def _verified(payload: dict, lines: list, w, oracle: bool = False, rad=None):
+    """Put w, and T3's rad-clean witness rad, in the payload and lines with
+    the verdict their stored reports give.  w carries its evidence label:
+    every passing p is in comm^2(A) (qpolar.witnesses), and the label says
+    what else shows it."""
     evidence = ("polynomial-in-a" if w.a.shape == M2
                 else "finite-exhaustive" if oracle else "case-construction")
     payload["witness"] = dict(w.to_dict(), comm2_evidence=evidence)
     lines += [f"p: {w.p!r}", f"u: {w.u!r}", f"q: {w.q!r}", f"evidence: {evidence}"]
     lines += _check_lines(w.report)
+    ok = w.report.passed
+    if rad is not None:
+        payload["rad_clean"] = rad.to_dict()
+        lines += [f"e: {rad.e!r}", f"v: {rad.v!r}", f"corner: {rad.corner_j!r}"]
+        lines += _check_lines(rad.report)
+        ok = ok and rad.report.passed
+    payload["ok"] = ok
+    lines.append("verified" if ok else "VERIFICATION FAILED")
+    return payload, lines, ok
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     ring = parse_ring(args.ring)
     shape = parse_shape(args.shape)
     a = parse_matrix(ring, shape, args.matrix)
     require_engine(shape)
     view = get_view(ring, shape) if args.oracle else None
-    payload: dict = {"verb": "decompose", "ring": repr(ring), "shape": shape.name,
-                     "matrix": a.to_json()}
+    payload: dict = {"ring": repr(ring), "shape": shape.name, "matrix": a.to_json()}
     lines = [f"ring: {ring!r}", f"shape: {shape.name}", f"matrix: {a!r}"]
 
     if shape == T3:
@@ -132,75 +139,49 @@ def _cmd_decompose(args) -> int:
     try:
         w = quasipolar_witness_shape(a)
     except NotQuasipolarError as exc:
-        payload.update({"kind": "not-quasipolar", "reason": str(exc), "ok": True})
-        lines.append(f"not quasipolar: {exc}")
-        _emit(args, payload, lines)
-        return 0
+        payload["kind"] = "not-quasipolar"
+        return _not_quasipolar(payload, lines, str(exc))
     if view is not None:
         oracle_recheck(w, view)
     # For T3 the quasipolar idempotent is the diagonal-pattern E, which is also
     # the rad-clean idempotent.
     rad = rad_clean_witness_t3(a, w.p) if shape == T3 else None
-
-    _add_witness(payload, lines, w, oracle=view is not None)
-    if rad is not None:
-        payload["rad_clean"] = rad.to_dict()
-        lines += [f"e: {rad.e!r}", f"v: {rad.v!r}", f"corner: {rad.corner_j!r}"]
-        lines += _check_lines(rad.report)
-    ok = payload["witness"]["ok"] and (rad is None or payload["rad_clean"]["ok"])
-    payload["ok"] = ok
-    lines.append("verified" if ok else "VERIFICATION FAILED")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return _verified(payload, lines, w, oracle=view is not None, rad=rad)
 
 
-def _cmd_classify_m2(args) -> int:
+def _cmd_classify_m2(args):
     ring = parse_ring(args.ring)
     a = parse_matrix(ring, M2, args.matrix)
     cls = classify_m2(a)
-    payload = {"verb": "classify-m2", "ring": repr(ring), "matrix": a.to_json()}
-    payload.update(cls.to_dict())
+    payload = dict(cls.to_dict(), ring=repr(ring), matrix=a.to_json())
     lines = [f"ring: {ring!r}", f"matrix: {a!r}", f"kind: {cls.kind.value}"]
     if cls.roots is not None:
         lines.append(f"roots: alpha={cls.roots[0]!r} beta={cls.roots[1]!r}")
     if cls.reason:
         lines.append(f"reason: {cls.reason}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args):
     ring = parse_ring(args.ring)
     if not isinstance(ring, TruncatedSeriesRing):
         raise QpolarError(f"lift needs a series ring, got {ring!r}")
     a = parse_matrix(ring, M2, args.matrix)
-    payload: dict = {"verb": "lift", "ring": repr(ring), "matrix": a.to_json()}
-    lines = [f"ring: {ring!r}", f"matrix: {a!r}"]
     # A series is a unit or radical exactly when its constant term is, so
     # this is the constant matrix's kind, and a split is lifted once here.
     cls = classify_m2(a)
-    payload["constant_kind"] = cls.kind.value
-    lines.append(f"constant kind: {cls.kind.value}")
+    payload: dict = {"ring": repr(ring), "matrix": a.to_json(), "constant_kind": cls.kind.value}
+    lines = [f"ring: {ring!r}", f"matrix: {a!r}", f"constant kind: {cls.kind.value}"]
     if cls.kind is M2Kind.NOT_QUASIPOLAR:
-        payload.update({"reason": cls.reason, "ok": True})
-        lines.append(f"not quasipolar: {cls.reason}")
-        _emit(args, payload, lines)
-        return 0
+        return _not_quasipolar(payload, lines, cls.reason)
     if cls.kind is M2Kind.SPLIT:
         alpha, beta = cls.roots
-        payload["alpha"] = repr(alpha)
-        payload["beta"] = repr(beta)
-        lines.append(f"alpha: {alpha!r}")
-        lines.append(f"beta: {beta!r}")
-    w = quasipolar_witness_m2(a, cls=cls)
-    _add_witness(payload, lines, w, oracle=False)
-    payload["ok"] = payload["witness"]["ok"]
-    lines.append("verified" if payload["ok"] else "VERIFICATION FAILED")
-    _emit(args, payload, lines)
-    return 0 if payload["ok"] else 1
+        payload.update(alpha=repr(alpha), beta=repr(beta))
+        lines += [f"alpha: {alpha!r}", f"beta: {beta!r}"]
+    return _verified(payload, lines, quasipolar_witness_m2(a, cls=cls))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     ring = parse_ring(args.ring)
     shape = parse_shape(args.shape)
     if args.check == "corner":
@@ -217,84 +198,52 @@ def _cmd_oracle(args) -> int:
         report = m2_agreement_sweep(ring)
     else:
         raise QpolarError(f"no oracle sweep for shape {shape.name}")
-    payload = {"verb": "oracle", "ring": repr(ring), "shape": shape.name,
-               "check": args.check, "report": report.to_dict()}
+    payload = {"ring": repr(ring), "shape": shape.name, "check": args.check,
+               "report": report.to_dict()}
     lines = [f"ring: {ring!r}", f"shape: {shape.name}", f"sweep: {report.name}",
-             f"total: {report.total}"]
-    for label, count in report.counts.items():
-        lines.append(f"  {label}: {count}")
-    for failure in report.failures:
-        lines.append(f"mismatch: {failure}")
-    lines.append("ok" if report.passed else "MISMATCHES FOUND")
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+             f"total: {report.total}", *_sweep_lines(report),
+             "ok" if report.passed else "MISMATCHES FOUND"]
+    return payload, lines, report.passed
 
 
-def _cmd_bleached(args) -> int:
+def _cmd_bleached(args):
     ring = parse_ring(args.ring)
     if args.mode == "unique":
         report = check_uniquely_bleached(ring)
     else:
         report = check_bleached(ring)
-    payload = {"verb": "bleached", "report": report.to_dict()}
     lines = [
         f"ring: {report.ring_spelling}",
         f"mode: {report.mode}",
         f"pairs checked: {report.pairs_checked}",
     ]
-    for failure in report.failures:
-        lines.append(f"failing pair: {failure}")
+    lines += [f"failing pair: {failure}" for failure in report.failures]
     lines.append("ok" if report.passed else "NOT BLEACHED")
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    return {"report": report.to_dict()}, lines, report.passed
 
 
-def _cmd_verify_t3(args) -> int:
+def _cmd_verify_t3(args):
     ring = parse_ring(args.ring)
     reports = [t3_case_sweep(ring), t3_rad_clean_sweep(ring)]
-    payload = {"verb": "verify-t3", "ring": repr(ring),
-               "reports": [r.to_dict() for r in reports]}
     lines = [f"ring: {ring!r}"]
-    ok = True
     for report in reports:
         lines.append(f"sweep {report.name}: total {report.total}")
-        for label, count in report.counts.items():
-            lines.append(f"  {label}: {count}")
-        for failure in report.failures:
-            lines.append(f"  mismatch: {failure}")
-        ok = ok and report.passed
+        lines += _sweep_lines(report, "  ")
+    ok = all(report.passed for report in reports)
     lines.append("ok" if ok else "MISMATCHES FOUND")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return {"ring": repr(ring), "reports": [r.to_dict() for r in reports]}, lines, ok
 
 
-def _cmd_verify_examples(args) -> int:
-    payload: dict = {"verb": "verify-examples", "examples": []}
-    lines = []
-    ok = True
+def _cmd_verify_examples(args):
+    examples, lines, ok = [], [], True
     for ex in all_examples():
         report = verify_example(ex)
-        payload["examples"].append(
-            {"name": ex.name, "ring": repr(ex.ring), "report": report.to_dict()}
-        )
+        examples.append({"name": ex.name, "ring": repr(ex.ring), "report": report.to_dict()})
         lines.append(f"example {ex.name} over {ex.ring!r}:")
-        lines.extend(_check_lines(report, "  "))
+        lines += _check_lines(report, "  ")
         ok = ok and report.passed
-    payload["ok"] = ok
     lines.append("ok" if ok else "EXAMPLE CHECKS FAILED")
-    _emit(args, payload, lines)
-    return 0 if ok else 1
-
-
-_DISPATCH = {
-    "decompose": _cmd_decompose,
-    "classify-m2": _cmd_classify_m2,
-    "lift": _cmd_lift,
-    "oracle": _cmd_oracle,
-    "bleached": _cmd_bleached,
-    "verify-t3": _cmd_verify_t3,
-    "verify-examples": _cmd_verify_examples,
-}
+    return {"examples": examples, "ok": ok}, lines, ok
 
 
 _PARSER = None
@@ -306,9 +255,14 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        code = _DISPATCH[args.verb](args)
+        payload, lines, ok = args.run(args)
+        if args.format == "json":
+            payload["verb"] = args.verb
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print(*lines, sep="\n")
         sys.stdout.flush()
-        return code
+        return 0 if ok else 1
     except BrokenPipeError:
         # Python's documented recipe: the interpreter's last flush of stdout
         # would fail again, so it goes to devnull.
@@ -320,7 +274,6 @@ def main(argv=None) -> int:
     except QpolarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -91,8 +91,6 @@ def find_root_split(chi: QuadraticCharPoly, ring: LocalRing) -> tuple:
         return lift_split(chi, ring)
     if isinstance(ring, LocalizedIntegers):
         return _zloc_root_split(chi, ring)
-    if not ring.is_finite:
-        raise UnsupportedShape(f"no root-split strategy for {ring!r}")
     # Over F_p and Z/p^k the radical root always exists and is unique:
     # chi' = 2t - tr is a unit on the radical, so Newton's method from 0
     # stays there and doubles the power of p dividing chi(alpha) per step.

@@ -473,3 +473,15 @@ class TestParserReuse:
         for argv, got in zip(sequence, reused):
             monkeypatch.setattr(cli, "_PARSER", None)
             assert run_all(capsys, argv) == got
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("row", GOLDEN, ids=[" ".join(row["argv"]) for row in GOLDEN])
+def test_golden_request(capsys, row):
+    # Exit code, stdout and stderr as the CLI printed them at commit 7224a6c,
+    # for every verb in text and JSON, the correct negatives, the --oracle
+    # rechecks and the exit-2 refusals.  Argparse usage and help are left
+    # out: their wrapping follows the terminal width and Python version.
+    assert run_all(capsys, row["argv"]) == (row["code"], row["out"], row["err"])

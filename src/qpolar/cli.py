@@ -13,14 +13,17 @@ Each verb is declared once, in ``build_parser``, with its handler.  A
 handler returns the request's document, its text lines and its verdict;
 ``main`` alone prints the document (``--format json``) or the lines and
 maps the verdict to exit code 0 or 1.
+
+``_json`` prints a document as ``json.dumps(doc, indent=2, sort_keys=True)``
+would, without the pure-Python encoder that ``indent`` makes it run.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .commutant import check_bleached, check_uniquely_bleached
 from .m2 import M2Kind, NotQuasipolarError, classify_m2, quasipolar_witness_m2
@@ -246,6 +249,24 @@ def _cmd_verify_examples(args):
     return {"examples": examples, "ok": ok}, lines, ok
 
 
+def _json(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``; a tuple is a list."""
+    kind, inner, quote = type(doc), indent + "  ", encode_basestring_ascii
+    if kind is str:
+        return quote(doc)
+    elif kind is dict:
+        items, ends = [f"{quote(k)}: {_json(doc[k], inner)}" for k in sorted(doc)], "{}"
+    elif kind is list or kind is tuple:
+        items, ends = [quote(v) if type(v) is str else _json(v, inner) for v in doc], "[]"
+    elif kind is int:
+        return int.__repr__(doc)
+    elif kind is bool or doc is None:
+        return "null" if doc is None else "true" if doc else "false"
+    else:
+        raise TypeError(f"a document cannot hold {kind.__name__} {doc!r}")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 _PARSER = None
 
 
@@ -258,7 +279,7 @@ def main(argv=None) -> int:
         payload, lines, ok = args.run(args)
         if args.format == "json":
             payload["verb"] = args.verb
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(_json(payload))
         else:
             print(*lines, sep="\n")
         sys.stdout.flush()

@@ -200,7 +200,7 @@ def parse_shape(name: str) -> Shape:
 class ShapedMatrix:
     """An immutable matrix over a local ring, supported on a shape."""
 
-    __slots__ = ("ring", "shape", "rows")
+    __slots__ = ("ring", "shape", "rows", "text")  # text: the entries' text, set on first use
 
     def __init__(self, ring: LocalRing, shape: Shape, rows):
         self.ring = ring
@@ -318,16 +318,22 @@ class ShapedMatrix:
             t = t + d
         return t
 
+    def _entry_text(self) -> tuple:
+        try:
+            return self.text
+        except AttributeError:
+            fmt = self.ring.format_raw
+            self.text = tuple([tuple([fmt(a.raw) for a in row]) for row in self.rows])
+            return self.text
+
     def __repr__(self):
-        return "[" + "; ".join(
-            ", ".join(repr(a) for a in row) for row in self.rows
-        ) + "]"
+        return "[" + "; ".join(map(", ".join, self._entry_text())) + "]"
 
     def to_json(self) -> dict:
         return {
             "ring": repr(self.ring),
             "shape": self.shape.name,
-            "rows": [[repr(a) for a in row] for row in self.rows],
+            "rows": list(map(list, self._entry_text())),
         }
 
 

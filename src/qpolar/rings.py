@@ -302,6 +302,7 @@ class _ModularRing(LocalRing):
         self.p = p
         self.k = k
         self.modulus = p**k
+        self.normal = self.modulus.__rmod__  # x % modulus; map calls it with no Python frame
         self.spelling = spelling
         self._build_constants()
 
@@ -310,9 +311,6 @@ class _ModularRing(LocalRing):
             return self.element(int(text.strip()))
         except ValueError:
             raise RingParseError(f"bad integer literal {text!r} for {self}") from None
-
-    def normal(self, x):
-        return x % self.modulus
 
     def is_unit(self, a):
         return a.raw % self.p != 0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,14 +12,22 @@ import pytest
 
 import qpolar.cli as cli
 from qpolar import (
+    M2,
+    M3,
+    SHAPES,
+    T3,
+    TN,
     PrimeField,
     QuasipolarWitness,
+    ShapedMatrix,
     TruncatedSeriesRing,
     matrix_from_json,
 )
 from qpolar.cli import main
 from qpolar.commutant import BLEACHED_EVALUATION_CAP
-from qpolar.rings import MAX_PRIME, MAX_SERIES_PRECISION, parse_ring
+from qpolar.rings import MAX_PRIME, MAX_SERIES_PRECISION, QpolarError, parse_ring
+
+from conftest import random_element
 
 T3_ARGS = [
     "decompose",
@@ -485,3 +494,85 @@ def test_golden_request(capsys, row):
     # rechecks and the exit-2 refusals.  Argparse usage and help are left
     # out: their wrapping follows the terminal width and Python version.
     assert run_all(capsys, row["argv"]) == (row["code"], row["out"], row["err"])
+
+
+def _documents(argvs):
+    """The document each request's handler returns, as main would print it;
+    requests refused with exit 2 print none."""
+    parser = cli.build_parser()
+    for argv in argvs:
+        args = parser.parse_args([*argv, "--format", "json"])
+        try:
+            payload, _, _ = args.run(args)
+        except QpolarError:
+            continue
+        payload["verb"] = args.verb
+        yield payload
+
+
+def _seeded_requests():
+    rng = random.Random(31)
+    shapes = [s for s in SHAPES.values() if s is not M3] + [TN(4)]
+    for spelling in ("F3", "Z2^2", "Zloc2", "series(Z2^2,4)"):
+        ring = parse_ring(spelling)
+
+        def literal(shape):
+            entries = [[random_element(rng, ring) if (i, j) in shape.mask else ring.zero
+                        for j in range(shape.n)] for i in range(shape.n)]
+            return repr(ShapedMatrix.from_rows(ring, shape, entries))
+
+        for shape in shapes:
+            for _ in range(3):
+                yield _decompose(spelling, shape.name, literal(shape))
+        for _ in range(4):
+            yield ["classify-m2", "--ring", spelling, "--matrix", literal(M2)]
+        if isinstance(ring, TruncatedSeriesRing):
+            for _ in range(4):
+                yield ["lift", "--ring", spelling, "--matrix", literal(M2)]
+        elif ring.is_finite:
+            yield _decompose(spelling, "T3", literal(T3), "--oracle")
+            for shape, check in [("T3", "quasipolar"), ("T3", "rad-clean"), ("T2", "corner"),
+                                 ("T2", "quasipolar"), ("M2", "quasipolar")]:
+                yield ["oracle", "--ring", spelling, "--shape", shape, "--check", check]
+            for mode in ("unique", "surjective"):
+                yield ["bleached", "--ring", spelling, "--mode", mode]
+            yield ["verify-t3", "--ring", spelling]
+    yield ["verify-examples"]
+
+
+def _dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+class TestJsonWriter:
+    # cli._json replaces json.dumps(doc, indent=2, sort_keys=True) and must
+    # print the same bytes.
+    def test_golden_documents_print_as_json_dumps(self):
+        docs = list(_documents(row["argv"] for row in GOLDEN if row["code"] != 2))
+        assert len(docs) >= 30
+        for doc in docs:
+            assert cli._json(doc) == _dumps(doc)
+
+    def test_seeded_documents_print_as_json_dumps(self):
+        docs = list(_documents(_seeded_requests()))
+        assert len(docs) >= 120
+        assert {doc["verb"] for doc in docs} == {
+            "decompose", "classify-m2", "lift", "oracle", "bleached", "verify-t3",
+            "verify-examples"}
+        for doc in docs:
+            assert cli._json(doc) == _dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        "é", '"', "\\", "\n", "", {}, [], (), {"a": {}, "b": [], "c": [[], {}], "d": [{}]},
+        [True, False, None, 0, 1], {"t": True, "f": False, "n": None, "0": 0, "1": 1},
+        [-1, -(2**70), 2**64, 2**64 + 1], (1, "x", (), [(2,)]),
+        {"é": ["\"\\\n", {"\t": " "}], "": "", "B": 1, "a": 2},
+        True, None, 0, -7,
+    ])
+    def test_edge_cases_print_as_json_dumps(self, doc):
+        assert cli._json(doc) == _dumps(doc)
+
+    @pytest.mark.parametrize("doc", [1.5, {"a": [0.0]}, {1, 2}, {"a": frozenset()}])
+    def test_a_float_or_a_set_is_refused(self, doc):
+        with pytest.raises(TypeError):
+            cli._json(doc)

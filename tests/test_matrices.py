@@ -379,21 +379,22 @@ class TestRawKernel:
         b = parse_matrix(ring, M2, f"[1 + x, 2 + x + x^2; {entry}, 3]")
         want = loop_mul(a, b)
         calls = {}
-        for cls, name in [
+        # normal is an attribute of the ring instance, not a method.
+        for owner, name in [
             (TruncatedSeriesRing, "mul"),
             (TruncatedSeriesRing, "add"),
             (_ModularRing, "cook"),
-            (_ModularRing, "normal"),
+            (z4, "normal"),
         ]:
-            orig = getattr(cls, name)
+            orig = getattr(owner, name)
 
-            def counted(*args, orig=orig, key=f"{cls.__name__}.{name}"):
+            def counted(*args, orig=orig, key=name):
                 calls[key] = calls.get(key, 0) + 1
                 return orig(*args)
 
-            monkeypatch.setattr(cls, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         got = a * b
-        assert calls == {"_ModularRing.normal": 32}
+        assert calls == {"normal": 32}
         assert got == want
 
     def test_products_and_sums_make_no_wrapped_scalar_ops(self, monkeypatch, z4):
@@ -436,3 +437,49 @@ class TestRawKernel:
         t3_twin = ShapedMatrix(z4, twin, t3.rows)
         assert t3_twin == t3 and hash(t3_twin) == hash(t3)
         assert t3_twin * t3 == t3 * t3
+
+
+def _entry_reprs(m):
+    return [[repr(e) for e in row] for row in m.rows]
+
+
+class TestEntryText:
+    # A matrix formats its entries once and keeps the text; repr and
+    # to_json read it and must match each entry's own repr.
+    @pytest.mark.parametrize("spelling", [
+        "F5", "Z2^3", "Zloc2", "series(Zloc2,3)", "series(series(F3,2),3)",
+    ])
+    def test_repr_and_rows_match_each_entrys_repr(self, spelling):
+        ring = parse_ring(spelling)
+        rng = random.Random(spelling)
+        seen = set()
+        for shape in (T3, M2, UP3, TN(4)):
+            for _ in range(6):
+                m = random_shaped(rng, ring, shape)
+                want = _entry_reprs(m)
+                for _ in range(2):
+                    assert m.to_json()["rows"] == want
+                    assert repr(m) == "[" + "; ".join(", ".join(row) for row in want) + "]"
+                seen.update(t for row in want for t in row)
+        if spelling.startswith(("Zloc", "series(Zloc")):
+            assert any("/" in t for t in seen)
+        if spelling.startswith("series(series"):
+            assert any(")*x^" in t for t in seen)
+
+    def test_returned_rows_are_fresh_lists(self, z4):
+        m = parse_matrix(z4, T3, "[1,0,0; 1,2,1; 0,0,3]")
+        rows = m.to_json()["rows"]
+        rows[1][0] = "mutated"
+        rows.append(["extra"])
+        assert m.to_json()["rows"] == [["1", "0", "0"], ["1", "2", "1"], ["0", "0", "3"]]
+        assert repr(m) == "[1, 0, 0; 1, 2, 1; 0, 0, 3]"
+
+    def test_a_product_or_sum_gets_its_own_text(self, z4):
+        a = parse_matrix(z4, T3, "[1,0,0; 1,2,1; 0,0,3]")
+        b = parse_matrix(z4, T3, "[3,0,0; 2,1,1; 0,0,2]")
+        texts = repr(a), repr(b)
+        for c in (a * b, a + b, a - b, b * a):
+            assert c.to_json()["rows"] == _entry_reprs(c)
+            assert repr(c) == "[" + "; ".join(map(", ".join, _entry_reprs(c))) + "]"
+            assert repr(c) not in texts
+        assert (repr(a), repr(b)) == texts

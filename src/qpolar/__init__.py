@@ -85,10 +85,9 @@ from .series import (
 from .oracle import NotIdempotent, get_view
 from .sweeps import (
     corner_equivalence_sweep,
-    m2_agreement_sweep,
     t3_case_sweep,
     t3_rad_clean_sweep,
-    transport_sweep,
+    uniqueness_sweep,
     zloc_shape_sweep,
 )
 from .worked_examples import all_examples, example_precision2, example_precision8, verify_example

@@ -27,16 +27,15 @@ from json.encoder import encode_basestring_ascii
 
 from .commutant import check_bleached, check_uniquely_bleached
 from .m2 import M2Kind, NotQuasipolarError, classify_m2, quasipolar_witness_m2
-from .matrices import M2, T2, T3, parse_matrix, parse_shape
+from .matrices import M2, T3, parse_matrix, parse_shape
 from .oracle import get_view
 from .rings import QpolarError, TruncatedSeriesRing, parse_ring
 from .sweeps import (
     corner_equivalence_sweep,
-    m2_agreement_sweep,
     oracle_recheck,
-    t2_exhaustive_sweep,
     t3_case_sweep,
     t3_rad_clean_sweep,
+    uniqueness_sweep,
 )
 from .triangular import classify_case, quasipolar_witness_shape, rad_clean_witness_t3, require_engine
 from .witnesses import WitnessInvalid
@@ -195,12 +194,8 @@ def _cmd_oracle(args):
         report = t3_rad_clean_sweep(ring)
     elif shape == T3:
         report = t3_case_sweep(ring)
-    elif shape == T2:
-        report = t2_exhaustive_sweep(ring)
-    elif shape == M2:
-        report = m2_agreement_sweep(ring)
     else:
-        raise QpolarError(f"no oracle sweep for shape {shape.name}")
+        report = uniqueness_sweep(ring, shape)
     payload = {"ring": repr(ring), "shape": shape.name, "check": args.check,
                "report": report.to_dict()}
     lines = [f"ring: {ring!r}", f"shape: {shape.name}", f"sweep: {report.name}",

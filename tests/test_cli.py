@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qpolar.cli as cli
+import qpolar.sweeps as sweeps
 from qpolar import (
     M2,
     M3,
@@ -165,12 +166,21 @@ class TestExitCodes:
         [
             (["oracle", "--ring", "F2", "--shape", "T2", "--check", "rad-clean"],
              "rad-clean sweep is defined for shape T3"),
-            (["oracle", "--ring", "F2", "--shape", "L3"], "no oracle sweep for shape L3"),
+            (["oracle", "--ring", "F2", "--shape", "M3"],
+             "no constructive decomposition for shape M3"),
+            (["oracle", "--ring", "F2", "--shape", "TN3"],
+             "no constructive decomposition for shape TN3"),
             (["lift", "--ring", "F3", "--matrix", "[1,0; 0,2]"], "lift needs a series ring"),
         ],
-        ids=["rad-clean-T2", "oracle-L3", "lift-F3"],
+        ids=["rad-clean-T2", "oracle-M3", "oracle-TN3", "lift-F3"],
     )
-    def test_verb_refusals_print_only_a_reason(self, capsys, argv, why):
+    def test_verb_refusals_print_only_a_reason(self, capsys, monkeypatch, argv, why):
+        # Each refusal comes before any view is built.
+        def build_no_view(ring, shape):
+            raise AssertionError(f"built a view of {ring} / {shape.name}")
+
+        monkeypatch.setattr(cli, "get_view", build_no_view)
+        monkeypatch.setattr(sweeps, "get_view", build_no_view)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert why in captured.err
@@ -386,6 +396,11 @@ class TestVerbs:
         assert code == 0
         assert "0 failures" in out or "ok" in out
 
+    def test_corner_check_serves_a_shape_without_an_engine(self, capsys):
+        code, out = run(capsys, ["oracle", "--ring", "F2", "--shape", "M3", "--check", "corner"])
+        assert code == 0
+        assert "total: 512" in out
+
     def test_bleached_check_passes(self, capsys):
         code, out = run(
             capsys, ["bleached", "--ring", "Z2^2", "--format", "json"]
@@ -532,7 +547,8 @@ def _seeded_requests():
         elif ring.is_finite:
             yield _decompose(spelling, "T3", literal(T3), "--oracle")
             for shape, check in [("T3", "quasipolar"), ("T3", "rad-clean"), ("T2", "corner"),
-                                 ("T2", "quasipolar"), ("M2", "quasipolar")]:
+                                 ("T2", "quasipolar"), ("M2", "quasipolar"),
+                                 ("L3", "quasipolar"), ("S1", "quasipolar")]:
                 yield ["oracle", "--ring", spelling, "--shape", shape, "--check", check]
             for mode in ("unique", "surjective"):
                 yield ["bleached", "--ring", spelling, "--mode", mode]

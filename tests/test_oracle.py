@@ -35,15 +35,16 @@ from qpolar import (
     UP3,
     classify_m2,
     get_view,
-    m2_agreement_sweep,
+    parse_ring,
     quasipolar_witness_shape,
     t3_case_sweep,
     t3_rad_clean_sweep,
+    uniqueness_sweep,
 )
 from qpolar import oracle
 from qpolar.matrices import Shape, ShapedMatrix
 from qpolar.oracle import FiniteRingView
-from qpolar.sweeps import oracle_recheck, t2_exhaustive_sweep
+from qpolar.sweeps import m2_agreement_sweep, oracle_recheck, t2_exhaustive_sweep
 
 KERNEL_SHAPES = (T2, T3, L3, LOW3, UP3, S1, S2, M2)
 
@@ -408,8 +409,8 @@ class TestGeneratedKernels:
             # 1,078,144 and 245,376 while each comm^2 check scanned
             # commutants; 1,172,352 and 258,176 before that, while each
             # witness was rechecked on top of the search that subsumes it.
-            (t2_exhaustive_sweep, IntegersMod(2, 3), 34_304, 131_400),
-            (m2_agreement_sweep, IntegersMod(2, 2), 16_256, 8_320),
+            (lambda ring: uniqueness_sweep(ring, T2), IntegersMod(2, 3), 34_304, 131_400),
+            (lambda ring: uniqueness_sweep(ring, M2), IntegersMod(2, 2), 16_256, 8_320),
         ],
         ids=["t3-case-F3", "t3-case-Z2^2", "t2-exhaustive-Z2^3", "m2-agreement-Z2^2"],
     )
@@ -425,8 +426,8 @@ class TestGeneratedKernels:
         assert len(calls) == products
         assert len(entries) == evaluations
 
-    @pytest.mark.parametrize("sweep", [t2_exhaustive_sweep, m2_agreement_sweep])
-    def test_sweeps_require_the_only_search_hit(self, z4, monkeypatch, sweep):
+    @pytest.mark.parametrize("shape", [T2, M2, L3], ids=lambda s: s.name)
+    def test_sweeps_require_the_only_search_hit(self, z4, monkeypatch, shape):
         # The quasipolar idempotent over a commutative local ring is unique,
         # so a search that also finds another idempotent is a failure.
         monkeypatch.setattr(oracle, "_VIEW_CACHE", {})
@@ -438,9 +439,32 @@ class TestGeneratedKernels:
             return found + (extra,)
 
         monkeypatch.setattr(FiniteRingView, "quasipolar_search_keys", one_more)
-        report = sweep(z4)
+        report = uniqueness_sweep(z4, shape)
         assert len(report.failures) == report.total
         assert "expected" in report.failures[0]
+
+    @pytest.mark.parametrize(
+        "kept,shape", [(t2_exhaustive_sweep, T2), (m2_agreement_sweep, M2)],
+        ids=["t2_exhaustive_sweep", "m2_agreement_sweep"],
+    )
+    def test_kept_sweep_names_run_the_uniqueness_sweep(self, z4, kept, shape):
+        # The two names stay only for the benchmark tracer's spans.
+        assert kept(z4).to_dict() == uniqueness_sweep(z4, shape).to_dict()
+
+
+ENGINE_SHAPES = (T2, T3, L3, LOW3, UP3, S1, S2, TN(1), M2)
+
+
+@pytest.mark.parametrize("spelling", ["F2", "F3", "Z2^2"])
+@pytest.mark.parametrize("shape", ENGINE_SHAPES, ids=lambda s: s.name)
+def test_uniqueness_sweep_covers_every_engine_shape(shape, spelling):
+    # Over a commutative local ring the quasipolar idempotent is unique, so
+    # on every carrier the search finds exactly what the engine builds.
+    ring = parse_ring(spelling)
+    report = uniqueness_sweep(ring, shape)
+    assert report.failures == []
+    assert report.total == ring.cardinality() ** len(shape.positions)
+    assert sum(report.counts.values()) == report.total
 
 
 # The view's own scans and the inline corner loop that the whole-ring

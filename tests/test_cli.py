@@ -506,7 +506,8 @@ GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 def test_golden_request(capsys, row):
     # Exit code, stdout and stderr as the CLI printed them at commit 7224a6c,
     # for every verb in text and JSON, the correct negatives, the --oracle
-    # rechecks and the exit-2 refusals.  Argparse usage and help are left
+    # rechecks and the exit-2 refusals.  The `oracle ... L3` rows were
+    # recorded when `qp oracle` began to serve every shape with an engine.  Argparse usage and help are left
     # out: their wrapping follows the terminal width and Python version.
     assert run_all(capsys, row["argv"]) == (row["code"], row["out"], row["err"])
 

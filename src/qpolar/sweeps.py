@@ -1,16 +1,10 @@
 """Exhaustive and randomized sweeps tying the constructive engines to the oracle.
 
-uniqueness_sweep checks every engine shape the one way: over a commutative
-local ring the quasipolar idempotent is unique, so the oracle's
-definitional search must find exactly the engine's p, and nothing where
-the engine reports the matrix obstructed.  The T3 sweeps add the case
-table and the rad-clean search, corner_equivalence_sweep checks the
-Peirce-corner criterion on any mask, and zloc_shape_sweep validates
-witnesses over an infinite ring, where no oracle exists.
-
-Every sweep returns a SweepReport with deterministic contents: counts by
-classification, a list of failure descriptions (empty on a healthy
-build), and no timing data, so reports can be compared byte for byte.
+uniqueness_sweep is the one check of every engine shape's p against the
+oracle's quasipolar search.  Every sweep returns a SweepReport with
+deterministic contents: counts by classification, a list of failure
+descriptions (empty on a healthy build), and no timing data, so reports
+can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -24,14 +18,8 @@ from .m2 import NotQuasipolarError, classify_m2
 from .matrices import M2, T2, T3, Shape, ShapedMatrix
 from .oracle import FiniteRingView, get_view
 from .rings import LocalizedIntegers, LocalRing
-from .triangular import (
-    classify_case,
-    diagonal_pattern,
-    quasipolar_witness_shape,
-    quasipolar_witness_t3,
-    rad_clean_witness_t3,
-    require_engine,
-)
+from .triangular import (classify_case, diagonal_pattern, quasipolar_witness_shape,
+                         quasipolar_witness_t3, rad_clean_witness_t3, require_engine)
 from .witnesses import QuasipolarWitness, WitnessInvalid
 
 
@@ -138,8 +126,7 @@ def uniqueness_sweep(ring: LocalRing, shape: Shape, samples: int | None = None,
         expected = "only the constructed p" if want else "none"
         return label, f"oracle found {len(found)} quasipolar idempotent(s), expected {expected}"
 
-    name = ("t2-exhaustive" if shape == T2 else "m2-agreement" if shape == M2
-            else f"transport-{shape.name.lower()}")
+    name = {T2: "t2-exhaustive", M2: "m2-agreement"}.get(shape, f"transport-{shape.name.lower()}")
     return _sweep(name, keys, view.value_of, check, counts=counts)
 
 

@@ -18,7 +18,9 @@ evaluating both maps on every element for every (j, u) pair:
 2*N*|J|*|U| evaluations for N elements, where |J| = N/q for the residue
 field size q.  ``bleached_evaluations`` works that count out from the
 ring's cardinality and residue field alone, and it is checked against
-``BLEACHED_EVALUATION_CAP`` before any element is enumerated.
+``BLEACHED_EVALUATION_CAP`` before any element is enumerated.  Both modes
+run one image test: a self-map of a finite set is onto iff one-to-one.
+Over a commutative ring u*x - x*j = (u - j)*x with u - j a unit: a bijection.
 """
 
 from __future__ import annotations
@@ -106,10 +108,6 @@ def _run_bleached(ring: LocalRing, bijective: bool) -> BleachedReport:
                 if image != full:
                     report.failures.append(
                         f"{label} not surjective for j={j!r}, u={u!r}"
-                    )
-                if bijective and len(image) != len(elems):
-                    report.failures.append(
-                        f"{label} not injective for j={j!r}, u={u!r}"
                     )
     return report
 

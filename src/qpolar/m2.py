@@ -36,7 +36,6 @@ from .matrices import (
     char_poly_2x2,
 )
 from .rings import (
-    InvalidElement,
     LocalizedIntegers,
     LocalRing,
     QpolarError,
@@ -111,20 +110,11 @@ def _zloc_root_split(chi: QuadraticCharPoly, ring: LocalizedIntegers) -> tuple:
             f"{chi} has no radical root in {ring!r}: "
             f"discriminant {disc!r} is not a rational square"
         )
-    tr = chi.tr.raw
-    alpha = None
-    for cand in ((tr + root) / 2, (tr - root) / 2):
-        try:
-            x = ring.element(cand)
-        except InvalidElement:
-            continue
-        if x.in_jacobson():
-            alpha = x
-            break
-    if alpha is None:
-        raise NotQuasipolarError(
-            f"{chi} splits over the rationals but has no radical root in {ring!r}"
-        )
+    # Z_(p) is integrally closed, so chi's rational roots (tr +- r)/2 lie in it;
+    # det is radical, tr a unit and the maximal ideal prime: one root is radical.
+    alpha = ring.element((chi.tr.raw + root) / 2)
+    if alpha.is_unit():
+        alpha = ring.element((chi.tr.raw - root) / 2)
     beta = chi.tr - alpha
     if not (chi.evaluate(alpha) == 0 and beta.is_unit()):
         raise WitnessInvalid(f"{alpha!r}, {beta!r} is not a radical/unit root split of {chi}")

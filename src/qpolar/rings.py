@@ -477,6 +477,8 @@ class TruncatedSeriesRing(LocalRing):
         src = text.strip()
         if not src:
             raise RingParseError("empty series literal")
+        if "^-" in "".join(src.split()):
+            raise RingParseError(f"negative power in {text!r}")
         for raw in src.replace("-", "+-").split("+"):
             term = raw.strip()
             if not term:
@@ -501,8 +503,6 @@ class TruncatedSeriesRing(LocalRing):
                     raise RingParseError(f"bad power {xpart!r} in {text!r}") from None
             else:
                 raise RingParseError(f"bad term {raw.strip()!r} in {text!r}")
-            if power < 0:
-                raise RingParseError(f"negative power in {text!r}")
             c = self.base.parse(cpart).raw
             if power < self.precision:
                 coeffs[power] = coeffs[power] - c if negate else coeffs[power] + c

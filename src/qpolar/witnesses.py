@@ -4,11 +4,11 @@ A quasipolar witness for a matrix A is an idempotent p commuting with
 everything that commutes with A, such that A + p is a unit and A*p is
 quasinilpotent.  A rad-clean witness is an idempotent e commuting with A
 such that A - e is a unit and e*A*e lies in the radical of the corner
-ring e*R*e.  A witness runs ``checks()`` once, when it is built, and
-stores the resulting ``CheckReport`` as ``report``: every defining
-identity, each by name, so callers (and the CLI) can show exactly what
-was verified without computing it again.  Constructions in this package
-return only witnesses whose stored report passed.
+ring e*R*e.  Each declares its four matrices and ``checks()`` on one base,
+which runs ``checks()`` once, at build, and stores the ``CheckReport`` as
+``report``: every defining identity, each by name, so callers (and the
+CLI) can show what was verified without computing it again.
+Constructions in this package return only witnesses whose report passed.
 
 Commuting is enough.  Let S be a masked subring over a commutative
 Noetherian local ring (R, m), as every ring family here is, and p an
@@ -71,17 +71,27 @@ def _radical_certificate(q: ShapedMatrix) -> bool:
 
 
 @dataclass(frozen=True)
-class QuasipolarWitness:
+class _Witness:
+    """Four matrices, A first, and the report of their ``checks()``."""
+
+    report: CheckReport = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "report", self.checks())
+
+    def to_dict(self) -> dict:
+        out = {name: getattr(self, name).to_json() for name in self.__match_args__}
+        return dict(out, checks=self.report.to_dict(), ok=self.report.passed)
+
+
+@dataclass(frozen=True)
+class QuasipolarWitness(_Witness):
     """p idempotent in the double commutant, A + p a unit, A*p quasinilpotent."""
 
     a: ShapedMatrix
     p: ShapedMatrix
     u: ShapedMatrix
     q: ShapedMatrix
-    report: CheckReport = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "report", self.checks())
 
     def checks(self) -> CheckReport:
         a, p, u, q = self.a, self.p, self.u, self.q
@@ -97,29 +107,15 @@ class QuasipolarWitness:
             ]
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a.to_json(),
-            "p": self.p.to_json(),
-            "u": self.u.to_json(),
-            "q": self.q.to_json(),
-            "checks": self.report.to_dict(),
-            "ok": self.report.passed,
-        }
-
 
 @dataclass(frozen=True)
-class RadCleanWitness:
+class RadCleanWitness(_Witness):
     """e idempotent commuting with A, A - e a unit, e*A*e radical in the corner."""
 
     a: ShapedMatrix
     e: ShapedMatrix
     v: ShapedMatrix
     corner_j: ShapedMatrix
-    report: CheckReport = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "report", self.checks())
 
     def checks(self) -> CheckReport:
         a, e, v, cj = self.a, self.e, self.v, self.corner_j
@@ -134,16 +130,6 @@ class RadCleanWitness:
                 ("corner_j_radical_diagonal", cj.in_jacobson()),
             ]
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a.to_json(),
-            "e": self.e.to_json(),
-            "v": self.v.to_json(),
-            "corner_j": self.corner_j.to_json(),
-            "checks": self.report.to_dict(),
-            "ok": self.report.passed,
-        }
 
 
 class WitnessInvalid(QpolarError):

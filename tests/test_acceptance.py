@@ -145,7 +145,7 @@ def test_criterion_05_m2_classification_vs_oracle():
 
 @pytest.mark.parametrize("shape", [L3, T3, S1, LOW3], ids=lambda s: s.name)
 def test_criterion_06_localized_integer_shapes(shape):
-    report = zloc_shape_sweep(shape, samples=1000, seed=0, bound=1000)
+    report = zloc_shape_sweep(shape)
     assert report.failures == []
     assert report.counts["decomposed"] == 1000
     report_pass(6, f"1000 random {shape.name} matrices over Zloc2 decomposed")

@@ -171,8 +171,10 @@ class TestExitCodes:
             (["oracle", "--ring", "F2", "--shape", "TN3"],
              "no constructive decomposition for shape TN3"),
             (["lift", "--ring", "F3", "--matrix", "[1,0; 0,2]"], "lift needs a series ring"),
+            (["decompose", "--ring", "series(F3,2)", "--shape", "M2", "--matrix", "[x^-1,1;1,1]"],
+             "bad matrix literal: negative power in 'x^-1'"),
         ],
-        ids=["rad-clean-T2", "oracle-M3", "oracle-TN3", "lift-F3"],
+        ids=["rad-clean-T2", "oracle-M3", "oracle-TN3", "lift-F3", "negative-power"],
     )
     def test_verb_refusals_print_only_a_reason(self, capsys, monkeypatch, argv, why):
         # Each refusal comes before any view is built.

@@ -1,11 +1,13 @@
 """Trichotomy classification and decomposition of full 2x2 matrices."""
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from qpolar import (
+    LocalizedIntegers,
     M2,
     M2Kind,
     NotQuasipolarError,
@@ -163,6 +165,23 @@ class TestFindRootSplit:
         chi = char_poly_2x2(m2_of(zloc2, 0, -2, 1, 1))
         with pytest.raises(NotQuasipolarError):
             find_root_split(chi, zloc2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zloc_split_returns_the_planted_roots(self, p):
+        # Both rational roots lie in Zloc<p> and exactly one is radical;
+        # p = 2 also exercises the halving of tr + sqrt(disc).
+        ring = LocalizedIntegers(p)
+        rng = random.Random(p)
+
+        def prime_to_p():
+            while (n := rng.randint(-999, 999)) % p == 0:
+                pass
+            return n
+
+        for _ in range(1000):
+            alpha = ring.element(Fraction(p * rng.randint(-999, 999), abs(prime_to_p())))
+            beta = ring.element(Fraction(prime_to_p(), abs(prime_to_p())))
+            assert find_root_split(QuadraticCharPoly(alpha + beta, alpha * beta), ring) == (alpha, beta)
 
 
 def scan_root_split(chi, ring):

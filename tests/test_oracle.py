@@ -5,6 +5,8 @@ these tests pin small hand-checkable cases and cross-check the tabled
 key arithmetic against direct matrix arithmetic.
 """
 
+import dataclasses
+import json
 import os
 import random
 import subprocess
@@ -24,6 +26,7 @@ from qpolar import (
     M2,
     M3,
     NotIdempotent,
+    NotQuasipolarError,
     PrimeField,
     QpolarError,
     S1,
@@ -33,15 +36,18 @@ from qpolar import (
     TN,
     TruncatedSeriesRing,
     UP3,
+    WitnessInvalid,
     classify_m2,
     get_view,
+    parse_matrix,
     parse_ring,
     quasipolar_witness_shape,
     t3_case_sweep,
     t3_rad_clean_sweep,
     uniqueness_sweep,
 )
-from qpolar import oracle
+from qpolar import oracle, sweeps
+from qpolar.cli import main
 from qpolar.matrices import Shape, ShapedMatrix
 from qpolar.oracle import FiniteRingView
 from qpolar.sweeps import m2_agreement_sweep, oracle_recheck, t2_exhaustive_sweep
@@ -465,6 +471,76 @@ def test_uniqueness_sweep_covers_every_engine_shape(shape, spelling):
     assert report.failures == []
     assert report.total == ring.cardinality() ** len(shape.positions)
     assert sum(report.counts.values()) == report.total
+
+
+def _engine_fails_on(name, exc):
+    real = getattr(sweeps, name)
+
+    def patch(target):
+        def engine(a):
+            if a == target:
+                raise exc("planted")
+            return real(a)
+
+        return engine
+
+    return sweeps, name, patch
+
+
+def _wrong_rad_clean_e():
+    # A is not idempotent, so the oracle's rad-clean search never finds it.
+    real = sweeps.rad_clean_witness_t3
+
+    def patch(target):
+        return lambda a: dataclasses.replace(real(a), e=a) if a == target else real(a)
+
+    return sweeps, "rad_clean_witness_t3", patch
+
+
+def _corner_disagrees(complement_only):
+    real = FiniteRingView.corner_validate_key
+
+    def patch(target):
+        def corner(view, a, e):
+            if a != view.key_of(target):
+                return real(view, a, e)
+            complements = {view._sub(view.one_key, p) for p in view.quasipolar_search_keys(a)}
+            return complement_only and e not in complements
+
+        return corner
+
+    return FiniteRingView, "corner_validate_key", patch
+
+
+# Each case breaks one matrix for the sweep that `qp oracle` runs on the
+# shape and check: (shape, check, (owner, name, patch of the target), problem).
+SWEEP_FAULTS = {
+    "t3-case-engine-raises": (
+        T3, "quasipolar", _engine_fails_on("quasipolar_witness_t3", WitnessInvalid), "planted"),
+    "uniqueness-engine-obstructed": (
+        M2, "quasipolar", _engine_fails_on("quasipolar_witness_shape", NotQuasipolarError), "planted"),
+    "rad-clean-wrong-e": (T3, "rad-clean", _wrong_rad_clean_e(), "constructed e missing"),
+    "corner-search-disagrees": (T3, "corner", _corner_disagrees(False), "search=hit corner=miss"),
+    "corner-complement-fails": (T3, "corner", _corner_disagrees(True), "complement of found p"),
+}
+SWEEP_TARGETS = {T3: "[1,0,0;1,1,1;0,0,1]", M2: "[1,1;0,1]"}
+
+
+@pytest.mark.parametrize("case", SWEEP_FAULTS)
+def test_a_sweep_reports_the_one_matrix_that_misbehaves(monkeypatch, capsys, case):
+    shape, check, (owner, name, patch), problem = SWEEP_FAULTS[case]
+    target = parse_matrix(PrimeField(2), shape, SWEEP_TARGETS[shape])
+    assert target * target != target
+    monkeypatch.setattr(owner, name, patch(target))
+    argv = ["oracle", "--ring", "F2", "--shape", shape.name, "--check", check]
+    assert main(argv + ["--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["passed"] is False
+    assert len(report["failures"]) == 1
+    assert report["failures"][0].startswith(f"{target!r}: ")
+    assert problem in report["failures"][0]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "MISMATCHES FOUND"
 
 
 # The view's own scans and the inline corner loop that the whole-ring
